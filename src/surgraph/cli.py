@@ -433,7 +433,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=30)
     p.add_argument("--dilation", type=int, default=3)
     p.add_argument("--split", default=None, choices=["train", "val", "test"])
-    p.add_argument("--threads", type=int, default=1)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_build_graphs)
 

@@ -19,6 +19,10 @@ class TruncatedFile(SurgraphError):
     """File payload is shorter than its header declares."""
 
 
+class TrailingBytes(SurgraphError):
+    """File has bytes after the payload its header declares."""
+
+
 class OversizeDimension(SurgraphError):
     """Mask width or height exceeds the sanity limit."""
 
@@ -65,6 +69,10 @@ class EmptyWindow(SurgraphError):
 
 class ShapeMismatch(SurgraphError):
     """Operand shapes are incompatible."""
+
+
+class DuplicateEntry(SurgraphError):
+    """A sparse matrix is given the same (row, col) entry twice."""
 
 
 class LabelOutOfRange(SurgraphError):

@@ -19,6 +19,7 @@ from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
     EmptyGraph,
+    OutOfRange,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -157,31 +158,32 @@ def init_model(cfg: GcnConfig) -> GcnModel:
 def normalize_adjacency(graph) -> SparseAdjacency:
     """Dhat^{-1/2} (A + I) Dhat^{-1/2} over the graph's undirected edges.
 
-    Spatial and temporal edges are treated identically. Works for both
-    static and dynamic graphs (edge tuples of length 2 or 3).
+    Spatial and temporal edges are treated identically; self-loops and
+    repeated or reversed edges count once. Works for both static and dynamic
+    graphs (edge tuples of length 2 or 3). Raises OutOfRange for an edge end
+    outside the graph's nodes.
     """
     n = len(graph.nodes)
     if n == 0:
         raise EmptyGraph("graph has no nodes")
-    pairs = set()
-    for edge in graph.edges:
-        i, j = int(edge[0]), int(edge[1])
-        if i != j:
-            pairs.add((min(i, j), max(i, j)))
-    degree = np.ones(n)
-    for i, j in pairs:
-        degree[i] += 1.0
-        degree[j] += 1.0
+    ends = tuple(zip(*graph.edges))[:2] or ((), ())
+    i = np.array(ends[0], dtype=np.int64)
+    j = np.array(ends[1], dtype=np.int64)
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        raise OutOfRange(f"edge end outside the graph's {n} nodes")
+    keep = i != j
+    codes = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    lo, hi = np.divmod(codes, n)
+    degree = 1.0 + np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     dinv = 1.0 / np.sqrt(degree)
-    rows = list(range(n))
-    cols = list(range(n))
-    vals = (dinv * dinv).tolist()
-    for i, j in sorted(pairs):
-        v = dinv[i] * dinv[j]
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([v, v])
-    return SparseAdjacency.from_triples(n, np.array(rows), np.array(cols), np.array(vals))
+    off = dinv[lo] * dinv[hi]
+    diag = np.arange(n)
+    return SparseAdjacency.from_triples(
+        n,
+        np.concatenate([diag, lo, hi]),
+        np.concatenate([diag, hi, lo]),
+        np.concatenate([dinv * dinv, off, off]),
+    )
 
 
 def gcn_layer_forward(

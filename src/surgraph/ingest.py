@@ -32,6 +32,7 @@ from .errors import (
     NonContiguousIds,
     NonMonotonicFrames,
     OversizeDimension,
+    TrailingBytes,
     TruncatedFile,
     UnknownPhaseId,
 )
@@ -205,6 +206,11 @@ def mask_from_bytes(blob: bytes, frame_index: int = 0) -> SegmentationMask:
     if len(payload) < width * height:
         raise TruncatedFile(
             f"payload has {len(payload)} bytes, need {width * height}"
+        )
+    if len(blob) > 12 + width * height:
+        raise TrailingBytes(
+            f"frame {frame_index}: {len(blob) - 12 - width * height} trailing bytes "
+            f"after the {width}x{height} payload"
         )
     ids = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
     return SegmentationMask(width=width, height=height, class_ids=ids, frame_index=frame_index)

@@ -1,9 +1,10 @@
 """Dense kernels, losses, and gradient checking for the graph network.
 
-Everything runs on float64 numpy arrays; sparse adjacencies switch to a CSR
-product once graphs are large enough for sparsity to pay off. Operations are
-pure and deterministic (fixed summation order) so repeated runs are
-byte-identical.
+Everything runs on float64 numpy arrays. A sparse adjacency builds its
+product operator once per graph, when it is made: a dense matrix for small
+graphs, a scipy CSR once graphs are large enough for sparsity to pay off.
+Operations are pure and deterministic (fixed summation order) so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .errors import LabelOutOfRange, NonFiniteGradient, ShapeMismatch
+from .errors import (
+    DuplicateEntry,
+    LabelOutOfRange,
+    NonFiniteGradient,
+    OutOfRange,
+    ShapeMismatch,
+)
 
 DENSE_NODE_LIMIT = 64
 
@@ -85,8 +92,10 @@ def grad_check(
 class SparseAdjacency:
     """Symmetric normalized adjacency stored as sorted COO triples.
 
-    Small graphs keep a cached dense matrix (the product is faster than CSR
-    overhead below ~64 nodes); larger ones multiply through scipy CSR.
+    The product operator is built once per graph, in ``from_triples``. Small
+    graphs keep a dense matrix (its product is faster than CSR overhead below
+    ``DENSE_NODE_LIMIT`` nodes); larger ones keep a scipy CSR that shares
+    ``values`` and ``cols`` order with the triples.
     """
 
     node_count: int
@@ -94,11 +103,17 @@ class SparseAdjacency:
     cols: np.ndarray
     values: np.ndarray
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _csr: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_triples(
         cls, node_count: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     ) -> "SparseAdjacency":
+        """Sort the triples by (row, col) and build the product operator.
+
+        Raises OutOfRange for an index outside [0, node_count) and
+        DuplicateEntry for a (row, col) pair given twice.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -106,17 +121,28 @@ class SparseAdjacency:
             raise ShapeMismatch("rows, cols, values must have equal length")
         if not np.all(np.isfinite(values)):
             raise NonFiniteGradient("adjacency values must be finite")
+        if rows.size and (
+            min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= node_count
+        ):
+            raise OutOfRange(f"adjacency index outside [0, {node_count})")
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
-        dense = None
+        repeated = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            raise DuplicateEntry(f"adjacency entry ({rows[k]}, {cols[k]}) given twice")
         if node_count < DENSE_NODE_LIMIT:
             dense = np.zeros((node_count, node_count))
             dense[rows, cols] = values
-        return cls(node_count, rows, cols, values, dense)
+            return cls(node_count, rows, cols, values, _dense=dense)
+        indptr = np.zeros(node_count + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+        csr = sparse.csr_matrix(
+            (values, cols.astype(np.int32), indptr), shape=(node_count, node_count)
+        )
+        return cls(node_count, rows, cols, values, _csr=csr)
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.copy()
         dense = np.zeros((self.node_count, self.node_count))
         dense[self.rows, self.cols] = self.values
         return dense
@@ -128,7 +154,4 @@ class SparseAdjacency:
             raise ShapeMismatch(f"expected {self.node_count} rows, got {x.shape[0]}")
         if self._dense is not None:
             return self._dense @ x
-        csr = sparse.csr_matrix(
-            (self.values, (self.rows, self.cols)), shape=(self.node_count, self.node_count)
-        )
-        return np.asarray(csr @ x)
+        return np.asarray(self._csr @ x)

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from surgraph.errors import (
     CorruptCheckpoint,
     DimensionMismatch,
     EmptyGraph,
+    OutOfRange,
     VersionMismatch,
 )
 from surgraph.gcn import (
@@ -27,7 +29,7 @@ from surgraph.gcn import (
     checkpoint_header,
     checkpoint_step,
 )
-from surgraph.numerics import grad_check, softmax
+from surgraph.numerics import DENSE_NODE_LIMIT, grad_check, softmax
 
 
 @dataclasses.dataclass
@@ -113,6 +115,91 @@ def test_normalize_dedupes_and_accepts_kinds():
 def test_normalize_empty_graph():
     with pytest.raises(EmptyGraph):
         normalize_adjacency(FakeGraph(np.zeros((0, 2)), ()))
+
+
+def test_normalize_rejects_edge_outside_graph():
+    for edges in (((0, 2),), ((-1, 0, "spatial"),)):
+        with pytest.raises(OutOfRange):
+            normalize_adjacency(FakeGraph(np.zeros((2, 2)), edges))
+
+
+def _reference_normalize(graph):
+    """Set-and-loop normalization, kept as the reference for the array version."""
+    n = len(graph.nodes)
+    pairs = set()
+    for edge in graph.edges:
+        i, j = int(edge[0]), int(edge[1])
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    degree = np.ones(n)
+    for i, j in pairs:
+        degree[i] += 1.0
+        degree[j] += 1.0
+    dinv = 1.0 / np.sqrt(degree)
+    rows = list(range(n))
+    cols = list(range(n))
+    vals = (dinv * dinv).tolist()
+    for i, j in sorted(pairs):
+        v = dinv[i] * dinv[j]
+        rows.extend([i, j])
+        cols.extend([j, i])
+        vals.extend([v, v])
+    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def _reference_apply(n, rows, cols, vals, x):
+    """S @ x with the operator rebuilt on every call: dense below the limit, else COO to CSR."""
+    if n < DENSE_NODE_LIMIT:
+        dense = np.zeros((n, n))
+        dense[rows, cols] = vals
+        return dense @ x
+    csr = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return np.asarray(csr @ x)
+
+
+def _messy_graph(rng, n, m, with_kinds):
+    """Random edges with self-loops, repeated and reversed edges, and isolated nodes."""
+    reach = max(1, n - 3)  # the last nodes of larger graphs get no edges
+    ends = rng.integers(0, reach, size=(m, 2))
+    edges = [(int(i), int(j)) for i, j in ends]
+    if edges:
+        edges += [edges[0], edges[-1][::-1], (edges[0][0], edges[0][0])]
+    if with_kinds:
+        edges = [(i, j, ("spatial", "temporal")[int(rng.integers(2))]) for i, j in edges]
+    return FakeGraph(rng.normal(size=(n, 4)), tuple(edges))
+
+
+@pytest.mark.parametrize("with_kinds", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 17, 63, 64, 65, 130])
+def test_normalize_and_apply_match_reference_bitwise(n, with_kinds):
+    rng = np.random.default_rng(1000 * n + with_kinds)
+    for m in (0, 1, n, 4 * n):
+        g = _messy_graph(rng, n, m, with_kinds)
+        rows, cols, vals = _reference_normalize(g)
+        anorm = normalize_adjacency(g)
+        assert np.array_equal(anorm.rows, rows)
+        assert np.array_equal(anorm.cols, cols)
+        assert np.array_equal(anorm.values, vals)
+        x = rng.normal(size=(n, 9))
+        assert np.array_equal(anorm.apply(x), _reference_apply(n, rows, cols, vals, x))
+
+
+def test_apply_builds_no_operator(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 2 * DENSE_NODE_LIMIT
+    g = _messy_graph(rng, n, 3 * n, with_kinds=True)
+    anorm = normalize_adjacency(g)
+    x = rng.normal(size=(n, 6))
+    expected = _reference_apply(n, anorm.rows, anorm.cols, anorm.values, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply built a CSR matrix")
+
+    monkeypatch.setattr("surgraph.numerics.sparse.csr_matrix", refuse)
+    for _ in range(3):
+        assert np.array_equal(anorm.apply(x), expected)
 
 
 def test_layer_forward_matches_dense_formula():

@@ -11,6 +11,7 @@ from surgraph.errors import (
     NonContiguousIds,
     NonMonotonicFrames,
     OversizeDimension,
+    TrailingBytes,
     TruncatedFile,
     UnknownPhaseId,
 )
@@ -53,6 +54,12 @@ def test_load_mask_truncated_payload():
     blob = b"SGM1" + struct.pack("<II", 4, 4) + bytes([0] * 5)
     with pytest.raises(TruncatedFile):
         mask_from_bytes(blob)
+
+
+def test_load_mask_trailing_bytes():
+    mask = mask_from_bytes(b"SGM1" + struct.pack("<II", 4, 4) + bytes(16))
+    with pytest.raises(TrailingBytes, match="1 trailing bytes"):
+        mask_from_bytes(mask_to_bytes(mask) + b"x")
 
 
 def test_load_mask_oversize():

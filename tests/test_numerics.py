@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from surgraph.errors import LabelOutOfRange, NonFiniteGradient, ShapeMismatch
+from surgraph.errors import (
+    DuplicateEntry,
+    LabelOutOfRange,
+    NonFiniteGradient,
+    OutOfRange,
+    ShapeMismatch,
+)
 from surgraph.numerics import (
+    DENSE_NODE_LIMIT,
     SparseAdjacency,
     cross_entropy,
     grad_check,
@@ -148,6 +155,25 @@ def test_sparse_adjacency_rejects_non_finite():
         SparseAdjacency.from_triples(
             2, np.array([0]), np.array([1]), np.array([np.inf])
         )
+
+
+@pytest.mark.parametrize("n", [3, DENSE_NODE_LIMIT + 6])
+def test_sparse_adjacency_rejects_duplicate_pairs(n):
+    # Dense and CSR storage would resolve a repeated pair differently
+    # (last write wins against summation), so neither may accept one.
+    with pytest.raises(DuplicateEntry, match=r"\(0, 0\)"):
+        SparseAdjacency.from_triples(
+            n, np.array([0, 1, 0]), np.array([0, 1, 0]), np.array([1.0, 3.0, 2.0])
+        )
+
+
+@pytest.mark.parametrize("n", [3, DENSE_NODE_LIMIT + 6])
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_sparse_adjacency_rejects_index_outside_graph(n, bad):
+    bad = n if bad == "n" else bad
+    for rows, cols in (([0, bad], [0, 1]), ([0, 1], [bad, 1])):
+        with pytest.raises(OutOfRange):
+            SparseAdjacency.from_triples(n, np.array(rows), np.array(cols), np.array([1.0, 1.0]))
 
 
 def test_sparse_adjacency_shape_checks():
