@@ -23,7 +23,7 @@ from .dynamic_graph import (
     dynamic_graph_to_json,
     select_window,
 )
-from .errors import SurgraphError
+from .errors import EmptyMask, SurgraphError
 from .explain import (
     ExplainConfig,
     explain_prediction,
@@ -45,8 +45,8 @@ from .pipeline import (
     build_samples,
     evaluate,
     run_ablation,
-    split_dataset,
     train,
+    warn_skipped_frames,
     write_ablation_csv,
     write_history,
 )
@@ -211,6 +211,7 @@ def cmd_build_graphs(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         count = 0
+        skipped: list[str] = []
         for video in manifest.videos:
             if args.split and video.split != args.split:
                 continue
@@ -222,7 +223,10 @@ def cmd_build_graphs(args) -> int:
             static = {}
             for frame, path in list_mask_files(video.mask_dir):
                 mask = load_mask(path, frame_index=frame)
-                static[frame] = build_static_graph(mask, table, feature_cfg)
+                try:
+                    static[frame] = build_static_graph(mask, table, feature_cfg)
+                except EmptyMask:
+                    skipped.append(f"{video.video_id}/{frame}")
             for frame in sorted(static):
                 out_path = outputs.file(out_dir / f"{video.video_id}_{frame:06d}.json")
                 if args.mode == "static":
@@ -237,6 +241,7 @@ def cmd_build_graphs(args) -> int:
                     )
                 out_path.write_text(json.dumps(data) + "\n")
                 count += 1
+        warn_skipped_frames(skipped, feature_cfg)
         print(f"wrote {count} {args.mode} graph files to {out_dir}")
         return 0
     except Exception:
@@ -261,14 +266,10 @@ def cmd_train(args) -> int:
         val_epochs = [h for h in history if "val_accuracy" in h]
         if val_epochs:
             best = max(val_epochs, key=lambda h: h["val_accuracy"])
-            print(
-                f"accuracy={best['val_accuracy']:.6f} "
-                f"macro_f1={best['val_macro_f1']:.6f}"
-            )
+            accuracy, macro_f1 = best["val_accuracy"], best["val_macro_f1"]
         else:
-            train_videos, _, _ = split_dataset(manifest)
-            metrics = evaluate(model, build_samples(train_videos, cfg, threads=args.threads))
-            print(f"accuracy={metrics.accuracy:.6f} macro_f1={metrics.macro_f1:.6f}")
+            accuracy, macro_f1 = history[-1]["train_accuracy"], history[-1]["train_macro_f1"]
+        print(f"accuracy={accuracy:.6f} macro_f1={macro_f1:.6f}")
         return 0
     except Exception:
         outputs.discard()

@@ -9,16 +9,27 @@ a sinusoidal encoding of its relative position in the window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyWindow, OutOfRange
-from .scene_graph import TEMPORAL_DIM, FeatureConfig, NodeRecord, SceneGraph
+from .errors import EmptyWindow, OutOfRange, ShapeMismatch
+from .scene_graph import (
+    TEMPORAL_DIM,
+    FeatureConfig,
+    GraphArrays,
+    SceneGraph,
+    edge_index_from_json,
+    node_arrays_from_json,
+)
 
 EDGE_SPATIAL = "spatial"
 EDGE_TEMPORAL = "temporal"
+# ``DynamicGraph.edge_kinds`` holds indices into this tuple.
+EDGE_KINDS = (EDGE_SPATIAL, EDGE_TEMPORAL)
+SPATIAL, TEMPORAL = 0, 1
 
 LABEL_NEWEST = "newest"
 LABEL_CENTER = "center"
@@ -46,36 +57,49 @@ class WindowConfig:
             raise ValueError(f"unknown label_policy {self.label_policy!r}")
 
 
-@dataclass(frozen=True)
-class DynamicGraph:
+@dataclass(frozen=True, eq=False)
+class DynamicGraph(GraphArrays):
     """Union of windowed scene graphs with temporal stitching.
 
     ``window`` is the number of timesteps actually included (smaller than the
-    configured window near the start of a video). Edges are ``(i, j, kind)``
-    with i < j in the timestep-major node order, grouped as: spatial edges of
-    step 0, temporal edges 0-1, spatial edges of step 1, temporal 1-2, ...
+    configured window near the start of a video). Nodes are timestep-major:
+    ``t`` holds each node's step. Row k of ``edge_index`` is an (i, j) pair
+    with i < j and ``edge_kinds[k]`` indexes ``EDGE_KINDS``. Edges are
+    grouped as: spatial edges of step 0, temporal edges 0-1 (then bridged
+    edges 0-2), spatial edges of step 1, temporal 1-2, ...; within a
+    temporal group pairs are ordered by (i, j). ``nodes`` and ``edges``
+    (``(i, j, kind)`` tuples) are views derived from these arrays.
     """
 
     window: int
     dilation: int
     label_frame_index: int
     frame_indices: tuple[int, ...]
-    nodes: tuple[NodeRecord, ...]
-    edges: tuple[tuple[int, int, str], ...]
-    config: FeatureConfig
+    t: np.ndarray
+    edge_kinds: np.ndarray
 
-    @property
-    def feature_dim(self) -> int:
-        return self.config.feature_dim
+    def __post_init__(self):
+        if self.t.shape != self.class_ids.shape or len(self.edge_kinds) != len(self.edge_index):
+            raise ShapeMismatch("t must have one entry per node and edge_kinds one per edge")
+        super().__post_init__()
+        self.t.flags.writeable = False
+        self.edge_kinds.flags.writeable = False
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([n.features for n in self.nodes])
+    def _steps(self) -> list[int]:
+        return self.t.tolist()
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        return tuple(
+            (i, j, EDGE_KINDS[k])
+            for (i, j), k in zip(self.edge_index.tolist(), self.edge_kinds.tolist())
+        )
 
     def spatial_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j, kind in self.edges if kind == EDGE_SPATIAL]
+        return list(map(tuple, self.edge_index[self.edge_kinds == SPATIAL].tolist()))
 
     def temporal_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j, kind in self.edges if kind == EDGE_TEMPORAL]
+        return list(map(tuple, self.edge_index[self.edge_kinds == TEMPORAL].tolist()))
 
 
 def select_window(frame_index: int, window: int, dilation: int) -> list[int]:
@@ -111,6 +135,14 @@ def temporal_encoding(t: int, window: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _temporal_table(steps: int) -> np.ndarray:
+    """Row t is temporal_encoding(t, steps); read-only, one per window length."""
+    table = np.stack([temporal_encoding(t, steps) for t in range(steps)])
+    table.flags.writeable = False
+    return table
+
+
 def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = None) -> DynamicGraph:
     """Stitch ordered static graphs (oldest first) into a dynamic graph.
 
@@ -123,65 +155,73 @@ def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = Non
     if not graphs:
         raise EmptyWindow("no static graphs in window")
     feat_cfg = graphs[0].config
-    if any(g.config != feat_cfg for g in graphs[1:]):
+    if any(g.config is not feat_cfg and g.config != feat_cfg for g in graphs[1:]):
         raise ValueError("all graphs in a window must share one feature config")
 
     steps = len(graphs)
-    offsets = np.cumsum([0] + [len(g.nodes) for g in graphs[:-1]]).tolist()
-    temporal_slice = (
-        feat_cfg.block_slices()["temporal"] if feat_cfg.use_temporal else None
-    )
+    node_counts = [g.x.shape[0] for g in graphs]
+    t = np.repeat(np.arange(steps), node_counts)
+    x = np.concatenate([g.x for g in graphs])
+    if feat_cfg.use_temporal:
+        x[:, feat_cfg.block_slices()["temporal"]] = _temporal_table(steps)[t]
+    class_ids = np.concatenate([g.class_ids for g in graphs])
 
-    nodes: list[NodeRecord] = []
-    for t, graph in enumerate(graphs):
-        encoding = temporal_encoding(t, steps) if temporal_slice else None
-        for record in graph.nodes:
-            features = record.features
-            if encoding is not None:
-                features = features.copy()
-                features[temporal_slice] = encoding
-            nodes.append(replace(record, features=features, t=t))
+    edge_counts = [g.edge_index.shape[0] for g in graphs]
+    starts = np.cumsum(node_counts) - node_counts
+    spatial = np.concatenate([g.edge_index for g in graphs])
+    spatial += np.repeat(starts, edge_counts)[:, None]
 
-    edges: list[tuple[int, int, str]] = []
-    for t, graph in enumerate(graphs):
-        for i, j in graph.edges:
-            edges.append((offsets[t] + i, offsets[t] + j, EDGE_SPATIAL))
-        if t + 1 < steps:
-            edges.extend(_class_match_edges(graphs[t], graphs[t + 1], offsets[t], offsets[t + 1]))
-            if cfg.bridge_single_gap and t + 2 < steps:
-                absent = {n.class_id for n in graphs[t].nodes} - {
-                    n.class_id for n in graphs[t + 1].nodes
-                }
-                edges.extend(
-                    _class_match_edges(
-                        graphs[t], graphs[t + 2], offsets[t], offsets[t + 2], only=absent
-                    )
-                )
+    # Nodes of equal class in steps s and s + gap have keys k and k + gap * span.
+    low = class_ids.min(initial=0)
+    span = int(class_ids.max(initial=0) - low) + 1
+    key = t * span + (class_ids - low)
+    order = np.argsort(key, kind="stable")
+    older, newer, matched = _key_matches(key, order, np.arange(key.size), span)
+    if cfg.bridge_single_gap:
+        older2, newer2, _ = _key_matches(key, order, np.flatnonzero(matched == 0), 2 * span)
+    else:
+        older2 = newer2 = np.zeros(0, dtype=np.int64)
+
+    # Stable sort on (step of the older end, group) puts every group in the
+    # documented place and keeps each group's own order.
+    ends = np.concatenate([spatial, np.stack([older, newer], 1), np.stack([older2, newer2], 1)])
+    group = np.repeat([0, 1, 2], [spatial.shape[0], older.size, older2.size])
+    place = np.argsort(3 * t[ends[:, 0]] + group, kind="stable")
 
     if cfg.label_policy == LABEL_CENTER:
         label_frame = graphs[steps // 2].frame_index
     else:
         label_frame = graphs[-1].frame_index
     return DynamicGraph(
+        x=x,
+        class_ids=class_ids,
+        centroids=np.concatenate([g.centroids for g in graphs]),
+        sizes=np.concatenate([g.sizes for g in graphs]),
+        component_index=np.concatenate([g.component_index for g in graphs]),
+        edge_index=ends[place],
+        config=feat_cfg,
         window=steps,
         dilation=cfg.dilation,
         label_frame_index=label_frame,
         frame_indices=tuple(g.frame_index for g in graphs),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        config=feat_cfg,
+        t=t,
+        edge_kinds=(group[place] > 0).astype(np.int8),
     )
 
 
-def _class_match_edges(older, newer, off_a, off_b, only=None):
-    out = []
-    for i, a in enumerate(older.nodes):
-        if only is not None and a.class_id not in only:
-            continue
-        for j, b in enumerate(newer.nodes):
-            if a.class_id == b.class_id:
-                out.append((off_a + i, off_b + j, EDGE_TEMPORAL))
-    return out
+def _key_matches(key, order, sources, offset):
+    """(older, newer, matches per source) for key[newer] == key[older] + offset.
+
+    ``order`` stably sorts ``key``. ``sources`` ascend, so pairs come out
+    sorted by (older, newer): the older node is the outer loop.
+    """
+    sorted_keys = key[order]
+    wanted = key[sources] + offset
+    first = np.searchsorted(sorted_keys, wanted, "left")
+    matched = np.searchsorted(sorted_keys, wanted, "right") - first
+    older = np.repeat(sources, matched)
+    skip = np.repeat(first - (np.cumsum(matched) - matched), matched)
+    return older, order[skip + np.arange(older.size)], matched
 
 
 # --- JSON export ----------------------------------------------------------------
@@ -195,41 +235,39 @@ def dynamic_graph_to_json(graph: DynamicGraph) -> dict:
         "label_frame": graph.label_frame_index,
         "frames": list(graph.frame_indices),
         "nodes": [
-            {
-                "class": n.class_id,
-                "t": n.t,
-                "centroid": [n.centroid[0], n.centroid[1]],
-                "size": n.size,
-                "features": n.features.tolist(),
-            }
-            for n in graph.nodes
+            {"class": c, "t": t, "centroid": centroid, "size": s, "features": f}
+            for c, t, centroid, s, f in zip(
+                graph.class_ids.tolist(),
+                graph.t.tolist(),
+                graph.centroids.tolist(),
+                graph.sizes.tolist(),
+                graph.x.tolist(),
+            )
         ],
-        "edges": [[i, j, kind] for i, j, kind in graph.edges],
+        "edges": [
+            [i, j, EDGE_KINDS[k]]
+            for (i, j), k in zip(graph.edge_index.tolist(), graph.edge_kinds.tolist())
+        ],
     }
 
 
 def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> DynamicGraph:
-    nodes = tuple(
-        NodeRecord(
-            class_id=n["class"],
-            centroid=(n["centroid"][0], n["centroid"][1]),
-            size=n["size"],
-            component_index=0,
-            features=np.asarray(n["features"], dtype=np.float64),
-            t=n["t"],
-        )
-        for n in data["nodes"]
-    )
     if cfg is None:
         cfg = FeatureConfig(num_classes=data["d"], use_class=True)
+    edges = data["edges"]
+    unknown = {e[2] for e in edges} - set(EDGE_KINDS)
+    if unknown:
+        raise ValueError(f"unknown edge kinds {sorted(unknown)}")
     return DynamicGraph(
+        **node_arrays_from_json(data),
+        edge_index=edge_index_from_json(edges),
+        config=cfg,
         window=data["window"],
         dilation=data["dilation"],
         label_frame_index=data["label_frame"],
         frame_indices=tuple(data.get("frames", [])),
-        nodes=nodes,
-        edges=tuple((e[0], e[1], e[2]) for e in data["edges"]),
-        config=cfg,
+        t=np.array([n["t"] for n in data["nodes"]], dtype=np.int64),
+        edge_kinds=np.array([EDGE_KINDS.index(e[2]) for e in edges], dtype=np.int8),
     )
 
 

@@ -51,6 +51,14 @@ class MissingFrameKey(SurgraphError):
     """A non-empty embedding table has no entry for a requested frame."""
 
 
+class MissingLabel(SurgraphError, KeyError):
+    """A frame has no phase annotation; the message names video and frame."""
+
+    def __str__(self) -> str:
+        # KeyError's own __str__ would quote the message.
+        return Exception.__str__(self)
+
+
 # --- graph construction ------------------------------------------------------
 
 class EmptyMask(SurgraphError):

@@ -76,7 +76,7 @@ def _sigmoid(x):
 
 
 def _edge_endpoints(graph) -> list[tuple[int, int]]:
-    return [(int(e[0]), int(e[1])) for e in graph.edges]
+    return list(map(tuple, graph.edge_index.tolist()))
 
 
 def _masked_loss_and_grad(model, x, edges, logits_mask, target, lam1, lam2):
@@ -157,15 +157,15 @@ def explain_prediction(
     explain). Graphs without edges yield an all-zero-importance explanation.
     """
     cfg = cfg or ExplainConfig()
-    if len(graph.nodes) == 0:
+    x = graph.x
+    if x.shape[0] == 0:
         raise EmptyGraph("cannot explain an empty graph")
-    x = graph.feature_matrix()
     _, probs, target = forward(model, graph)
     if np.allclose(probs, 1.0 / probs.shape[0], atol=1e-9):
         raise NotTrained("model predicts uniform probabilities; nothing to explain")
 
     edges = _edge_endpoints(graph)
-    n_nodes = len(graph.nodes)
+    n_nodes = x.shape[0]
     if not edges:
         return Explanation(
             edge_importance=np.zeros(0),
@@ -222,7 +222,7 @@ def extract_subgraphs(
     edges = _edge_endpoints(graph)
     kept = [e for e in range(len(edges)) if explanation.edge_importance[e] >= threshold]
 
-    parent = list(range(len(graph.nodes)))
+    parent = list(range(graph.x.shape[0]))
 
     def find(a):
         while parent[a] != a:

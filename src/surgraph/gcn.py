@@ -158,21 +158,21 @@ def init_model(cfg: GcnConfig) -> GcnModel:
 def normalize_adjacency(graph) -> SparseAdjacency:
     """Dhat^{-1/2} (A + I) Dhat^{-1/2} over the graph's undirected edges.
 
-    Spatial and temporal edges are treated identically; self-loops and
-    repeated or reversed edges count once. Works for both static and dynamic
-    graphs (edge tuples of length 2 or 3). Raises OutOfRange for an edge end
-    outside the graph's nodes.
+    Reads the graph's ``x`` (for the node count) and its E x 2
+    ``edge_index``. Spatial and temporal edges are treated identically;
+    self-loops and repeated or reversed edges count once. Raises OutOfRange
+    for an edge end outside the graph's nodes.
     """
-    n = len(graph.nodes)
+    n = graph.x.shape[0]
     if n == 0:
         raise EmptyGraph("graph has no nodes")
-    ends = tuple(zip(*graph.edges))[:2] or ((), ())
-    i = np.array(ends[0], dtype=np.int64)
-    j = np.array(ends[1], dtype=np.int64)
-    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+    ends = np.asarray(graph.edge_index, dtype=np.int64)
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise OutOfRange(f"edge end outside the graph's {n} nodes")
+    i, j = ends[:, 0], ends[:, 1]
     keep = i != j
-    codes = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    codes = np.sort(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # unique, as np.unique but cheaper
     lo, hi = np.divmod(codes, n)
     degree = 1.0 + np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     dinv = 1.0 / np.sqrt(degree)
@@ -210,10 +210,10 @@ def global_add_pool(h: np.ndarray) -> np.ndarray:
 
 
 def prepare_inputs(graph) -> tuple[np.ndarray, SparseAdjacency]:
-    """Feature matrix and normalized adjacency for one graph."""
-    if len(graph.nodes) == 0:
+    """Feature matrix ``x`` and normalized adjacency for one graph."""
+    if graph.x.shape[0] == 0:
         raise EmptyGraph("graph has no nodes")
-    return graph.feature_matrix(), normalize_adjacency(graph)
+    return graph.x, normalize_adjacency(graph)
 
 
 def forward(model: GcnModel, graph) -> tuple[np.ndarray, np.ndarray, int]:

@@ -28,6 +28,7 @@ from .errors import (
     BadMagic,
     DuplicateId,
     MissingFrameKey,
+    MissingLabel,
     MixedDimensions,
     NonContiguousIds,
     NonMonotonicFrames,
@@ -118,10 +119,12 @@ class PhaseTrack:
         return len(self.frames)
 
     def label_at(self, frame_index: int) -> int:
-        """Phase id annotated at exactly `frame_index` (KeyError if absent)."""
+        """Phase id annotated at exactly `frame_index` (MissingLabel if absent)."""
         idx = np.searchsorted(self.frames, frame_index)
         if idx == len(self.frames) or self.frames[idx] != frame_index:
-            raise KeyError(f"no phase annotation for frame {frame_index}")
+            raise MissingLabel(
+                f"video {self.video_id!r}: no phase annotation for frame {frame_index}"
+            )
         return int(self.phases[idx])
 
 

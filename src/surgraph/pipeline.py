@@ -27,6 +27,7 @@ from .dynamic_graph import (
 )
 from .errors import (
     EmptyEvalSet,
+    EmptyMask,
     EmptyTrainSet,
     NonFiniteLoss,
     OverlappingSplits,
@@ -195,15 +196,18 @@ def build_samples(
     Static graphs are built once per frame (optionally across a thread pool)
     and shared between overlapping windows. Windows at the start of a video
     are shorter; frames missing from the mask directory are simply absent
-    from the windows that would have included them.
+    from the windows that would have included them. A frame with no segment
+    of at least ``min_segment_pixels`` is skipped the same way (it anchors
+    no sample), and one warning counts the skipped frames.
     """
     window_cfg = cfg.window_config()
     samples: list[GraphSample] = []
+    skipped: list[str] = []
     for video in videos:
         mask_files = list_mask_files(video.mask_dir)
         if not mask_files:
             continue
-        track = load_phase_labels(video.phase_csv)
+        track = load_phase_labels(video.phase_csv, video_id=video.video_id)
         table = (
             load_embeddings(video.embeddings)
             if video.embeddings is not None
@@ -213,16 +217,20 @@ def build_samples(
         def build_one(item):
             frame, path = item
             mask = load_mask(path, frame_index=frame)
-            return frame, build_static_graph(mask, table, cfg.feature_config)
+            try:
+                return frame, build_static_graph(mask, table, cfg.feature_config)
+            except EmptyMask:
+                return frame, None
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 built = list(pool.map(build_one, mask_files))
         else:
             built = [build_one(item) for item in mask_files]
-        static = dict(built)
+        static = {frame: graph for frame, graph in built if graph is not None}
+        skipped.extend(f"{video.video_id}/{frame}" for frame, graph in built if graph is None)
 
-        for frame, _ in mask_files:
+        for frame in static:
             wanted = select_window(frame, cfg.window, cfg.dilation)
             graphs = [static[i] for i in wanted if i in static]
             dyn = build_dynamic_graph(graphs, window_cfg)
@@ -231,11 +239,23 @@ def build_samples(
                     video_id=video.video_id,
                     frame_index=frame,
                     label=track.label_at(dyn.label_frame_index),
-                    x=dyn.feature_matrix(),
+                    x=dyn.x,
                     adjacency=normalize_adjacency(dyn),
                 )
             )
+    warn_skipped_frames(skipped, cfg.feature_config)
     return samples
+
+
+def warn_skipped_frames(skipped: list[str], cfg: FeatureConfig) -> None:
+    """One warning naming every ``video/frame`` skipped for having no segment."""
+    if skipped:
+        log.warning(
+            "skipped %d frame(s) with no segment >= %d px: %s",
+            len(skipped),
+            cfg.min_segment_pixels,
+            ", ".join(skipped),
+        )
 
 
 def train(
@@ -246,7 +266,9 @@ def train(
     Returns the best-validation-accuracy model and a per-epoch history of
     {"epoch", "train_loss", "val_accuracy", "val_macro_f1"}. Stops early
     after ``patience`` epochs without a validation improvement. With an empty
-    val split the final model is returned and no early stopping happens.
+    val split the final model is returned, no early stopping happens, and
+    the last record gains "train_accuracy" and "train_macro_f1": the final
+    model scored on the train samples.
     """
     train_videos, val_videos, _ = split_dataset(manifest)
     if not train_videos:
@@ -318,6 +340,9 @@ def train(
 
     if not val_samples:
         best_model = model
+        train_metrics = evaluate(model, train_samples)
+        history[-1]["train_accuracy"] = train_metrics.accuracy
+        history[-1]["train_macro_f1"] = train_metrics.macro_f1
     return best_model, history
 
 

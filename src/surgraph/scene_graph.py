@@ -9,13 +9,14 @@ All operations are pure and deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyMask, MissingFrameKey, OutOfRange
+from .errors import EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
 from .ingest import EmbeddingTable, SegmentationMask
 
 SPATIAL_DIM = 16
@@ -103,7 +104,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class NodeRecord:
-    """A graph node: segment summary plus its feature vector."""
+    """One entry of a graph's ``nodes`` view: segment summary plus features."""
 
     class_id: int
     centroid: tuple[float, float]
@@ -113,21 +114,75 @@ class NodeRecord:
     t: int = 0
 
 
-@dataclass(frozen=True)
-class SceneGraph:
-    """Nodes with features and undirected spatial edges for one frame."""
+@dataclass(frozen=True, eq=False)
+class GraphArrays:
+    """Nodes and edges of a graph as arrays, with derived per-node views.
 
-    frame_index: int
-    nodes: tuple[NodeRecord, ...]
-    edges: tuple[tuple[int, int], ...]
+    Row k of every node array describes node k: ``x`` (n x d float64
+    features), ``class_ids``, ``centroids`` (n x 2, normalized (cx, cy)),
+    ``sizes`` (relative area) and ``component_index`` (int64).
+    ``edge_index`` is an E x 2 int64 array of (i, j) node pairs. The arrays
+    are made read-only, so the cached ``nodes`` and ``edges`` views derived
+    from them stay valid.
+    """
+
+    x: np.ndarray
+    class_ids: np.ndarray
+    centroids: np.ndarray
+    sizes: np.ndarray
+    component_index: np.ndarray
+    edge_index: np.ndarray
     config: FeatureConfig
+
+    def __post_init__(self):
+        n = self.x.shape[0]
+        per_node = (self.class_ids, self.centroids, self.sizes, self.component_index)
+        if any(a.shape[0] != n for a in per_node) or self.edge_index.shape[1:] != (2,):
+            raise ShapeMismatch("node arrays must share one length and edge_index be E x 2")
+        for array in (self.x, *per_node, self.edge_index):
+            array.flags.writeable = False
 
     @property
     def feature_dim(self) -> int:
         return self.config.feature_dim
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([n.features for n in self.nodes])
+        """The n x d feature array ``x`` (read-only)."""
+        return self.x
+
+    def _steps(self) -> list[int]:
+        return [0] * self.x.shape[0]
+
+    @cached_property
+    def nodes(self) -> tuple[NodeRecord, ...]:
+        """One NodeRecord per node, derived from the arrays on first use."""
+        return tuple(
+            NodeRecord(c, (cx, cy), s, k, f, t)
+            for c, (cx, cy), s, k, f, t in zip(
+                self.class_ids.tolist(),
+                self.centroids.tolist(),
+                self.sizes.tolist(),
+                self.component_index.tolist(),
+                self.x,
+                self._steps(),
+            )
+        )
+
+    @cached_property
+    def edges(self) -> tuple[tuple, ...]:
+        """``edge_index`` as a tuple of (i, j) int pairs."""
+        return tuple(map(tuple, self.edge_index.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class SceneGraph(GraphArrays):
+    """One frame's nodes with features and undirected spatial edges.
+
+    Edges are (i, j) with i < j, sorted; node order is ascending
+    (class_id, component_index).
+    """
+
+    frame_index: int
 
 
 def extract_segments(mask: SegmentationMask, cfg: FeatureConfig) -> list[Segment]:
@@ -161,7 +216,8 @@ def compute_adjacency(
         s.component_index for s in rebuilt
     ] != [s.component_index for s in segments]:
         raise ValueError("segments were not extracted from this mask/config")
-    return _edges_from_index_image(index_image, cfg.connectivity)
+    edge_index = _edges_from_index_image(index_image, cfg.connectivity, len(rebuilt))
+    return list(map(tuple, edge_index.tolist()))
 
 
 def spatial_encoding(cx: float, cy: float) -> np.ndarray:
@@ -206,85 +262,95 @@ def build_static_graph(
     segments, index_image = _segments_with_index_image(mask, cfg)
     if not segments:
         raise EmptyMask(f"frame {mask.frame_index}: no segment >= {cfg.min_segment_pixels} px")
-    edges = _edges_from_index_image(index_image, cfg.connectivity)
+    n = len(segments)
+    class_ids = np.array([seg.class_id for seg in segments], dtype=np.int64)
+    sizes = np.array([segment_size(seg, mask) for seg in segments], dtype=np.float64)
 
     slices = cfg.block_slices()
-    nodes = []
-    for seg in segments:
-        feat = np.zeros(cfg.feature_dim)
-        if cfg.use_class:
-            if seg.class_id >= cfg.num_classes:
-                raise OutOfRange(
-                    f"class id {seg.class_id} outside one-hot of {cfg.num_classes}"
-                )
-            feat[slices["class"].start + seg.class_id] = 1.0
-        if cfg.use_spatial:
-            feat[slices["spatial"]] = spatial_encoding(*seg.centroid)
-        size = segment_size(seg, mask)
-        if cfg.use_size:
-            feat[slices["size"]] = size
-        if cfg.use_embedding:
+    x = np.zeros((n, cfg.feature_dim))
+    if cfg.use_class:
+        outside = class_ids[class_ids >= cfg.num_classes]
+        if outside.size:
+            raise OutOfRange(f"class id {outside[0]} outside one-hot of {cfg.num_classes}")
+        x[np.arange(n), slices["class"].start + class_ids] = 1.0
+    if cfg.use_spatial:
+        for row, seg in zip(x, segments):
+            row[slices["spatial"]] = spatial_encoding(*seg.centroid)
+    if cfg.use_size:
+        x[:, slices["size"]] = sizes[:, None]
+    if cfg.use_embedding:
+        for row, seg in zip(x, segments):
             vec = embeddings.vector(mask.frame_index, seg.key(cfg.segment_mode))
             if vec.shape[0] != cfg.embedding_dim:
                 raise MissingFrameKey(
                     f"embedding length {vec.shape[0]} != configured {cfg.embedding_dim}"
                 )
-            feat[slices["embedding"]] = vec
-        nodes.append(
-            NodeRecord(
-                class_id=seg.class_id,
-                centroid=seg.centroid,
-                size=size,
-                component_index=seg.component_index,
-                features=feat,
-            )
-        )
+            row[slices["embedding"]] = vec
     return SceneGraph(
-        frame_index=mask.frame_index,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
+        x=x,
+        class_ids=class_ids,
+        centroids=np.array([seg.centroid for seg in segments], dtype=np.float64),
+        sizes=sizes,
+        component_index=np.array([seg.component_index for seg in segments], dtype=np.int64),
+        edge_index=_edges_from_index_image(index_image, cfg.connectivity, n),
         config=cfg,
+        frame_index=mask.frame_index,
     )
 
 
 # --- JSON export ----------------------------------------------------------------
+# Every number written is a Python scalar (``tolist``), so ``json.dumps`` prints
+# the same text it printed for the per-node records these arrays replaced.
 
 def graph_to_json(graph: SceneGraph) -> dict:
     return {
         "frame": graph.frame_index,
         "d": graph.feature_dim,
         "nodes": [
-            {
-                "class": n.class_id,
-                "centroid": [n.centroid[0], n.centroid[1]],
-                "size": n.size,
-                "features": n.features.tolist(),
-            }
-            for n in graph.nodes
+            {"class": c, "centroid": centroid, "size": s, "features": f}
+            for c, centroid, s, f in zip(
+                graph.class_ids.tolist(),
+                graph.centroids.tolist(),
+                graph.sizes.tolist(),
+                graph.x.tolist(),
+            )
         ],
-        "edges": [[i, j] for i, j in graph.edges],
+        "edges": graph.edge_index.tolist(),
     }
 
 
 def graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> SceneGraph:
-    nodes = tuple(
-        NodeRecord(
-            class_id=n["class"],
-            centroid=(n["centroid"][0], n["centroid"][1]),
-            size=n["size"],
-            component_index=0,
-            features=np.asarray(n["features"], dtype=np.float64),
-        )
-        for n in data["nodes"]
-    )
     if cfg is None:
         cfg = FeatureConfig(num_classes=data["d"], use_class=True)
     return SceneGraph(
-        frame_index=data["frame"],
-        nodes=nodes,
-        edges=tuple((e[0], e[1]) for e in data["edges"]),
+        **node_arrays_from_json(data),
+        edge_index=edge_index_from_json(data["edges"]),
         config=cfg,
+        frame_index=data["frame"],
     )
+
+
+def node_arrays_from_json(data: dict) -> dict[str, np.ndarray]:
+    """GraphArrays node fields from a graph JSON's ``nodes`` list.
+
+    Component indices are not exported, so they read back as 0.
+    """
+    nodes = data["nodes"]
+    x = np.array([n["features"] for n in nodes], dtype=np.float64)
+    return {
+        "x": x if nodes else x.reshape(0, data["d"]),
+        "class_ids": np.array([n["class"] for n in nodes], dtype=np.int64),
+        "centroids": np.array(
+            [n["centroid"][:2] for n in nodes], dtype=np.float64
+        ).reshape(len(nodes), 2),
+        "sizes": np.array([n["size"] for n in nodes], dtype=np.float64),
+        "component_index": np.zeros(len(nodes), dtype=np.int64),
+    }
+
+
+def edge_index_from_json(edges: list) -> np.ndarray:
+    """E x 2 int64 array of the (i, j) ends of JSON edges."""
+    return np.array([e[:2] for e in edges], dtype=np.int64).reshape(len(edges), 2)
 
 
 def write_graph_json(graph: SceneGraph, path: str | Path) -> None:
@@ -341,18 +407,21 @@ def _segment_from_region(
     )
 
 
-def _edges_from_index_image(index_image: np.ndarray, connectivity: int) -> list[tuple[int, int]]:
-    pairs = set()
+def _edges_from_index_image(
+    index_image: np.ndarray, connectivity: int, node_count: int
+) -> np.ndarray:
+    """E x 2 int64 array of touching (lo, hi) node pairs, sorted."""
     shifts = [(0, 1), (1, 0)]
     if connectivity == 8:
         shifts += [(1, 1), (1, -1)]
+    codes = []
     for dy, dx in shifts:
         a, b = _shifted_views(index_image, dy, dx)
         touching = (a != b) & (a >= 0) & (b >= 0)
-        lo = np.minimum(a[touching], b[touching])
-        hi = np.maximum(a[touching], b[touching])
-        pairs.update(zip(lo.tolist(), hi.tolist()))
-    return sorted(pairs)
+        a, b = a[touching].astype(np.int64), b[touching].astype(np.int64)
+        codes.append(np.minimum(a, b) * node_count + np.maximum(a, b))
+    lo, hi = np.divmod(np.unique(np.concatenate(codes)), max(node_count, 1))
+    return np.stack([lo, hi], axis=1)
 
 
 def _shifted_views(image: np.ndarray, dy: int, dx: int) -> tuple[np.ndarray, np.ndarray]:

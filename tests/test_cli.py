@@ -7,7 +7,7 @@ import pytest
 
 from surgraph.cli import run
 from surgraph.gcn import GcnConfig, init_model, save_checkpoint
-from surgraph.ingest import load_manifest, load_mask
+from surgraph.ingest import list_mask_files, load_manifest, load_mask
 from surgraph.pipeline import ABLATION_CSV_HEADER, TrainConfig
 from surgraph.scene_graph import FeatureConfig
 
@@ -273,3 +273,59 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "surgraph" in proc.stdout
+
+
+def test_train_without_val_builds_each_window_once(dataset, tmp_path, monkeypatch, capsys):
+    from surgraph import pipeline
+
+    manifest = load_manifest(dataset)
+    train_videos = [v for v in manifest.videos if v.split == "train"]
+    raw = {
+        "fps": 1,
+        "videos": [
+            {"id": v.video_id, "mask_dir": str(v.mask_dir), "phase_csv": str(v.phase_csv),
+             "split": v.split}
+            for v in train_videos
+        ],
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(raw))
+    calls = []
+    build = pipeline.build_dynamic_graph
+    monkeypatch.setattr(
+        pipeline, "build_dynamic_graph", lambda *a, **k: calls.append(1) or build(*a, **k)
+    )
+    history = tmp_path / "history.json"
+    code = run(
+        ["train", "--manifest", str(tmp_path / "manifest.json"),
+         "--out-checkpoint", str(tmp_path / "m.ckpt"), "--history", str(history),
+         "--window", "3", "--dilation", "1", "--epochs", "3", "--batch-size", "16",
+         "--seed", "0", "--features", "class", "--num-classes", "17"]
+    )
+    assert code == 0
+    frames = sum(len(list_mask_files(v.mask_dir)) for v in train_videos)
+    assert len(calls) == frames
+    last = json.loads(history.read_text())[-1]
+    out = capsys.readouterr().out
+    assert f"accuracy={last['train_accuracy']:.6f} macro_f1={last['train_macro_f1']:.6f}" in out
+
+
+def test_build_graphs_skips_empty_frame(tmp_path, caplog):
+    from surgraph.ingest import SegmentationMask, write_mask
+    from surgraph.synth import generate_dataset, preset_distinct_tools
+
+    cfg = preset_distinct_tools(n_frames=20, phase_frames=5, seed=3, video_id="test0",
+                                split="test")
+    manifest_path, manifest = generate_dataset(tmp_path / "data", [cfg], fps=1)
+    blank = SegmentationMask(3, 3, np.zeros((3, 3), dtype=np.uint8), 5)
+    write_mask(blank, load_manifest(manifest_path).videos[0].mask_dir / "000005.sgm")
+    out = tmp_path / "graphs"
+    with caplog.at_level("WARNING"):
+        code = run(["build-graphs", "--manifest", str(manifest_path), "--out", str(out),
+                    "--mode", "dynamic", "--window", "4", "--dilation", "1"])
+    assert code == 0
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert len(names) == 19 and "test0_000005.json" not in names
+    assert all(5 not in json.loads((out / n).read_text())["frames"] for n in names)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 1 frame(s) with no segment >= 10 px: test0/5"
+    ]

@@ -1,7 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surgraph.errors import EmptyWindow, OutOfRange
+from conftest import random_mask, stripe_mask
+from test_scene_graph import assert_plain_json
+
+from surgraph.errors import EmptyMask, EmptyWindow, OutOfRange
 from surgraph.dynamic_graph import (
     EDGE_SPATIAL,
     EDGE_TEMPORAL,
@@ -14,8 +22,10 @@ from surgraph.dynamic_graph import (
     select_window,
     temporal_encoding,
 )
+from surgraph.gcn import normalize_adjacency
 from surgraph.ingest import SegmentationMask
-from surgraph.scene_graph import FeatureConfig, build_static_graph
+from surgraph.numerics import SparseAdjacency
+from surgraph.scene_graph import SEGMENT_MODE_COMPONENT, FeatureConfig, build_static_graph
 
 
 def _graph(rows, frame_index, cfg):
@@ -201,3 +211,205 @@ def test_determinism():
     b = _window([FRAME_07, FRAME_0, FRAME_07])
     np.testing.assert_array_equal(a.feature_matrix(), b.feature_matrix())
     assert a.edges == b.edges
+
+
+# --- array builder against the per-node reference ------------------------------------
+
+
+def reference_window(graphs, cfg):
+    """The NodeRecord window builder the arrays replaced: (nodes, edges, label frame)."""
+    steps = len(graphs)
+    offsets = np.cumsum([0] + [len(g.nodes) for g in graphs[:-1]]).tolist()
+    feat_cfg = graphs[0].config
+    temporal_slice = feat_cfg.block_slices()["temporal"] if feat_cfg.use_temporal else None
+    nodes = []
+    for t, graph in enumerate(graphs):
+        encoding = temporal_encoding(t, steps) if temporal_slice else None
+        for record in graph.nodes:
+            features = record.features
+            if encoding is not None:
+                features = features.copy()
+                features[temporal_slice] = encoding
+            nodes.append(dataclasses.replace(record, features=features, t=t))
+
+    def matches(older, newer, off_a, off_b, only=None):
+        out = []
+        for i, a in enumerate(older.nodes):
+            if only is not None and a.class_id not in only:
+                continue
+            for j, b in enumerate(newer.nodes):
+                if a.class_id == b.class_id:
+                    out.append((off_a + i, off_b + j, EDGE_TEMPORAL))
+        return out
+
+    edges = []
+    for t, graph in enumerate(graphs):
+        for i, j in graph.edges:
+            edges.append((offsets[t] + i, offsets[t] + j, EDGE_SPATIAL))
+        if t + 1 < steps:
+            edges.extend(matches(graphs[t], graphs[t + 1], offsets[t], offsets[t + 1]))
+            if cfg.bridge_single_gap and t + 2 < steps:
+                absent = {n.class_id for n in graphs[t].nodes} - {
+                    n.class_id for n in graphs[t + 1].nodes
+                }
+                edges.extend(
+                    matches(graphs[t], graphs[t + 2], offsets[t], offsets[t + 2], only=absent)
+                )
+    center = cfg.label_policy == "center"
+    label_frame = graphs[steps // 2 if center else -1].frame_index
+    return nodes, edges, label_frame
+
+
+def reference_normalize(n, edges):
+    """The tuple-zipping normalize_adjacency the edge_index version replaced."""
+    ends = tuple(zip(*edges))[:2] or ((), ())
+    i = np.array(ends[0], dtype=np.int64)
+    j = np.array(ends[1], dtype=np.int64)
+    keep = i != j
+    codes = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    lo, hi = np.divmod(codes, n)
+    degree = 1.0 + np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    dinv = 1.0 / np.sqrt(degree)
+    off = dinv[lo] * dinv[hi]
+    diag = np.arange(n)
+    return SparseAdjacency.from_triples(
+        n,
+        np.concatenate([diag, lo, hi]),
+        np.concatenate([diag, hi, lo]),
+        np.concatenate([dinv * dinv, off, off]),
+    )
+
+
+def reference_window_json(dyn_fields, nodes, edges):
+    return {
+        **dyn_fields,
+        "nodes": [
+            {
+                "class": n.class_id,
+                "t": n.t,
+                "centroid": [n.centroid[0], n.centroid[1]],
+                "size": n.size,
+                "features": n.features.tolist(),
+            }
+            for n in nodes
+        ],
+        "edges": [[i, j, kind] for i, j, kind in edges],
+    }
+
+
+def assert_matches_reference(graphs, wcfg):
+    dyn = build_dynamic_graph(graphs, wcfg)
+    nodes, edges, label_frame = reference_window(graphs, wcfg)
+    assert np.array_equal(dyn.x, np.stack([n.features for n in nodes]))
+    assert np.array_equal(dyn.t, [n.t for n in nodes])
+    assert np.array_equal(dyn.class_ids, [n.class_id for n in nodes])
+    assert dyn.edges == tuple(edges)
+    assert [n.t for n in dyn.nodes] == [n.t for n in nodes]
+    assert dyn.label_frame_index == label_frame
+    got = normalize_adjacency(dyn)
+    want = reference_normalize(len(nodes), edges)
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return dyn, nodes, edges
+
+
+def _random_graphs(rng, frames, cfg, max_classes=6):
+    graphs = []
+    for f in frames:
+        while True:
+            mask = random_mask(rng, max_side=10, max_classes=max_classes, frame_index=f)
+            try:
+                graphs.append(build_static_graph(mask, cfg=cfg))
+                break
+            except EmptyMask:
+                continue
+    return graphs
+
+
+FULL = FeatureConfig(num_classes=8, use_spatial=True, use_size=True, use_temporal=True,
+                     min_segment_pixels=2)
+REFERENCE_CASES = {
+    "bridge": (FULL, WindowConfig(window=6, dilation=2, bridge_single_gap=True), range(0, 12, 2)),
+    "center": (FULL, WindowConfig(window=5, dilation=1, label_policy="center"), range(5)),
+    "missing-frames": (FULL, WindowConfig(window=8, dilation=1, bridge_single_gap=True),
+                       [0, 1, 3, 4, 7]),
+    "per-component": (
+        dataclasses.replace(FULL, segment_mode=SEGMENT_MODE_COMPONENT, connectivity=8),
+        WindowConfig(window=4, dilation=1, bridge_single_gap=True), range(4),
+    ),
+    "no-temporal-block": (dataclasses.replace(FULL, use_temporal=False),
+                          WindowConfig(window=4, dilation=3), range(0, 12, 3)),
+    "one-step": (FULL, WindowConfig(window=1), [9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_window_matches_reference(case):
+    cfg, wcfg, frames = REFERENCE_CASES[case]
+    rng = np.random.default_rng(sorted(REFERENCE_CASES).index(case))
+    for _ in range(8):
+        assert_matches_reference(_random_graphs(rng, frames, cfg), wcfg)
+
+
+def test_window_of_frames_without_edges_matches_reference():
+    # one class per frame: no spatial edges, only temporal chains
+    graphs = [_graph(rows, f, CFG) for f, rows in enumerate([FRAME_0, [[7, 7]], FRAME_0])]
+    wcfg = WindowConfig(window=3, bridge_single_gap=True)
+    dyn, _, _ = assert_matches_reference(graphs, wcfg)
+    assert dyn.spatial_edges() == []
+    assert dyn.temporal_edges() == [(0, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.lists(
+        st.lists(st.integers(0, 4), min_size=1, max_size=5), min_size=1, max_size=6
+    ),
+    per_component=st.booleans(),
+    bridge=st.booleans(),
+    temporal=st.booleans(),
+)
+def test_window_matches_reference_on_random_class_lists(frames, per_component, bridge, temporal):
+    cfg = FeatureConfig(
+        num_classes=5,
+        use_size=True,
+        use_temporal=temporal,
+        min_segment_pixels=1,
+        segment_mode=SEGMENT_MODE_COMPONENT if per_component else "per-class-region",
+    )
+    graphs = [
+        build_static_graph(stripe_mask(classes, width=3, rows_per_class=1, frame_index=f), cfg=cfg)
+        for f, classes in enumerate(frames)
+    ]
+    assert_matches_reference(graphs, WindowConfig(window=len(frames), bridge_single_gap=bridge))
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_window_json_bytes_match_reference(case):
+    cfg, wcfg, frames = REFERENCE_CASES[case]
+    graphs = _random_graphs(np.random.default_rng(17), frames, cfg)
+    dyn, nodes, edges = assert_matches_reference(graphs, wcfg)
+    data = dynamic_graph_to_json(dyn)
+    assert_plain_json(data)
+    fields = {k: data[k] for k in ("frame", "d", "window", "dilation", "label_frame", "frames")}
+    assert fields == {
+        "frame": dyn.label_frame_index,
+        "d": cfg.feature_dim,
+        "window": len(graphs),
+        "dilation": wcfg.dilation,
+        "label_frame": dyn.label_frame_index,
+        "frames": [g.frame_index for g in graphs],
+    }
+    assert json.dumps(data) == json.dumps(reference_window_json(fields, nodes, edges))
+
+    again = dynamic_graph_from_json(json.loads(json.dumps(data)), cfg)
+    for name in ("x", "class_ids", "centroids", "sizes", "t", "edge_index", "edge_kinds"):
+        assert np.array_equal(getattr(dyn, name), getattr(again, name)), name
+    assert json.dumps(dynamic_graph_to_json(again)) == json.dumps(data)
+
+
+def test_json_rejects_unknown_edge_kind():
+    data = dynamic_graph_to_json(_window([FRAME_07, FRAME_07]))
+    data["edges"][0][2] = "diagonal"
+    with pytest.raises(ValueError):
+        dynamic_graph_from_json(data, CFG)

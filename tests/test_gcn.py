@@ -48,6 +48,10 @@ class FakeGraph:
     def nodes(self):
         return [FakeNode(row) for row in self.x]
 
+    @property
+    def edge_index(self):
+        return np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2)
+
     def feature_matrix(self):
         return self.x
 

@@ -7,10 +7,12 @@ from surgraph.errors import (
     BadMagic,
     DuplicateId,
     MissingFrameKey,
+    MissingLabel,
     MixedDimensions,
     NonContiguousIds,
     NonMonotonicFrames,
     OversizeDimension,
+    SurgraphError,
     TrailingBytes,
     TruncatedFile,
     UnknownPhaseId,
@@ -151,6 +153,16 @@ def test_label_at_missing_frame(tmp_path):
     track = load_phase_labels(p)
     with pytest.raises(KeyError):
         track.label_at(5)
+
+
+def test_label_at_missing_frame_names_video_and_frame(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("frame,phase\n0,1\n")
+    track = load_phase_labels(p, video_id="case07")
+    with pytest.raises(MissingLabel) as info:
+        track.label_at(5)
+    assert isinstance(info.value, SurgraphError)
+    assert str(info.value) == "video 'case07': no phase annotation for frame 5"
 
 
 def test_embeddings_single_frame(tmp_path):

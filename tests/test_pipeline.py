@@ -1,11 +1,19 @@
+import dataclasses
 import json
 import logging
 
 import numpy as np
 import pytest
 
+from surgraph import pipeline
 from surgraph.errors import EmptyEvalSet, EmptyTrainSet, OverlappingSplits
-from surgraph.ingest import DatasetManifest, VideoEntry, load_manifest
+from surgraph.ingest import (
+    DatasetManifest,
+    SegmentationMask,
+    VideoEntry,
+    load_manifest,
+    write_mask,
+)
 from surgraph.metrics import compute_metrics
 from surgraph.pipeline import (
     ABLATION_CSV_HEADER,
@@ -241,3 +249,31 @@ def test_write_ablation_csv(tmp_path):
     assert lines[1] == "dynamic,0,0,0,0,30,1,30,0.750000,0.733333"
     assert lines[2].startswith("dynamic,1,0,0,1,30,3,90,")
     assert lines[3] == "static,0,0,0,0,1,1,1,,"
+
+
+def test_empty_frame_is_skipped_and_counted(tmp_path, monkeypatch, caplog):
+    cfg = preset_distinct_tools(n_frames=20, phase_frames=5, seed=3, video_id="train0")
+    manifest_path, _ = generate_dataset(tmp_path, [cfg], fps=1)
+    manifest = load_manifest(manifest_path)
+    # 9 pixels of one class: no segment reaches min_segment_pixels (10)
+    blank = SegmentationMask(3, 3, np.zeros((3, 3), dtype=np.uint8), 5)
+    write_mask(blank, manifest.videos[0].mask_dir / "000005.sgm")
+
+    windows = []
+    build = pipeline.build_dynamic_graph
+
+    def recording(graphs, window_cfg):
+        dyn = build(graphs, window_cfg)
+        windows.append(dyn.frame_indices)
+        return dyn
+
+    monkeypatch.setattr(pipeline, "build_dynamic_graph", recording)
+    train_cfg = dataclasses.replace(SMALL_TRAIN, window=4, dilation=1, epochs=2)
+    with caplog.at_level(logging.WARNING, logger="surgraph.pipeline"):
+        _, history = train(train_cfg, manifest)
+    assert len(history) == 2
+    assert len(windows) == 19
+    assert not any(5 in frames for frames in windows)
+    assert (3, 4, 6) in windows
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["skipped 1 frame(s) with no segment >= 10 px: train0/5"]

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from surgraph.errors import EmptyMask, OutOfRange
 from surgraph.ingest import EmbeddingTable, SegmentationMask
 from surgraph.scene_graph import (
     SEGMENT_MODE_COMPONENT,
     FeatureConfig,
+    NodeRecord,
     Segment,
     build_static_graph,
     compute_adjacency,
@@ -253,3 +256,143 @@ def test_json_round_trip():
     np.testing.assert_array_equal(graph.feature_matrix(), again.feature_matrix())
     assert graph.edges == again.edges
     assert [n.class_id for n in again.nodes] == [0, 4, 7]
+
+
+# --- array layout against the per-node reference ------------------------------------
+
+
+def reference_static_graph(mask, embeddings, cfg):
+    """The per-node builder the arrays replaced: (NodeRecords, sorted edge tuples)."""
+    segments = extract_segments(mask, cfg)
+    image = np.full(mask.class_ids.shape, -1)
+    for k, seg in enumerate(segments):
+        region = mask.class_ids == seg.class_id
+        if cfg.segment_mode == SEGMENT_MODE_COMPONENT:
+            structure = np.ones((3, 3)) if cfg.connectivity == 8 else None
+            labelled, _ = ndimage.label(region, structure=structure)
+            kept = [
+                lab for lab in range(1, labelled.max() + 1)
+                if (labelled == lab).sum() >= cfg.min_segment_pixels
+            ]
+            region = labelled == kept[seg.component_index]
+        image[region] = k
+    pairs = set()
+    h, w = image.shape
+    steps = [(0, 1), (1, 0)] + ([(1, 1), (1, -1)] if cfg.connectivity == 8 else [])
+    for y in range(h):
+        for x in range(w):
+            for dy, dx in steps:
+                yy, xx = y + dy, x + dx
+                if 0 <= yy < h and 0 <= xx < w:
+                    a, b = image[y, x], image[yy, xx]
+                    if a != b and a >= 0 and b >= 0:
+                        pairs.add((int(min(a, b)), int(max(a, b))))
+    slices = cfg.block_slices()
+    nodes = []
+    for seg in segments:
+        feat = np.zeros(cfg.feature_dim)
+        if cfg.use_class:
+            feat[slices["class"].start + seg.class_id] = 1.0
+        if cfg.use_spatial:
+            feat[slices["spatial"]] = spatial_encoding(*seg.centroid)
+        size = segment_size(seg, mask)
+        if cfg.use_size:
+            feat[slices["size"]] = size
+        if cfg.use_embedding:
+            feat[slices["embedding"]] = embeddings.vector(
+                mask.frame_index, seg.key(cfg.segment_mode)
+            )
+        nodes.append(NodeRecord(seg.class_id, seg.centroid, size, seg.component_index, feat))
+    return nodes, sorted(pairs)
+
+
+def reference_graph_json(frame, d, nodes, edges):
+    return {
+        "frame": frame,
+        "d": d,
+        "nodes": [
+            {
+                "class": n.class_id,
+                "centroid": [n.centroid[0], n.centroid[1]],
+                "size": n.size,
+                "features": n.features.tolist(),
+            }
+            for n in nodes
+        ],
+        "edges": [[i, j] for i, j in edges],
+    }
+
+
+def assert_plain_json(value):
+    """Every leaf is a Python int, float or str: json.dumps prints no numpy scalar."""
+    if isinstance(value, dict):
+        for v in value.values():
+            assert_plain_json(v)
+    elif isinstance(value, list):
+        for v in value:
+            assert_plain_json(v)
+    else:
+        assert type(value) in (int, float, str), type(value)
+
+
+STATIC_CASES = [
+    dict(segment_mode="per-class-region", connectivity=4),
+    dict(segment_mode="per-component", connectivity=4, use_size=True),
+    dict(segment_mode="per-component", connectivity=8, use_spatial=True, use_size=True),
+    dict(segment_mode="per-class-region", connectivity=8, use_spatial=True, use_temporal=True),
+    dict(use_class=False, use_size=True, use_embedding=True, embedding_dim=3),
+]
+
+
+@pytest.mark.parametrize("case", STATIC_CASES)
+def test_static_graph_matches_reference(case):
+    rng = np.random.default_rng(41)
+    cfg = FeatureConfig(num_classes=8, min_segment_pixels=2, **case)
+    for frame in range(12):
+        mask = random_mask(rng, max_side=14, max_classes=6, frame_index=frame)
+        table = EmbeddingTable(
+            {frame: {f"seg_{c}": rng.normal(size=3) for c in range(6)}}, 3
+        )
+        try:
+            graph = build_static_graph(mask, table, cfg)
+        except EmptyMask:
+            continue
+        nodes, edges = reference_static_graph(mask, table, cfg)
+        assert np.array_equal(graph.x, np.stack([n.features for n in nodes]))
+        assert graph.class_ids.tolist() == [n.class_id for n in nodes]
+        assert graph.component_index.tolist() == [n.component_index for n in nodes]
+        assert graph.centroids.tolist() == [list(n.centroid) for n in nodes]
+        assert graph.sizes.tolist() == [n.size for n in nodes]
+        assert graph.edges == tuple(edges)
+        assert graph.edge_index.dtype == np.int64
+        def fields(n):
+            return n.class_id, n.centroid, n.size, n.component_index, n.t
+
+        assert [fields(n) for n in graph.nodes] == [fields(n) for n in nodes]
+
+        data = graph_to_json(graph)
+        assert_plain_json(data)
+        expected = reference_graph_json(frame, cfg.feature_dim, nodes, edges)
+        assert json.dumps(data) == json.dumps(expected)
+
+
+def test_graph_json_round_trip_arrays():
+    rng = np.random.default_rng(5)
+    cfg = FeatureConfig(num_classes=8, use_spatial=True, use_size=True, min_segment_pixels=1,
+                        segment_mode=SEGMENT_MODE_COMPONENT)
+    mask = random_mask(rng, max_side=12, max_classes=6, frame_index=3)
+    graph = build_static_graph(mask, cfg=cfg)
+    again = graph_from_json(json.loads(json.dumps(graph_to_json(graph))), cfg)
+    for name in ("x", "class_ids", "centroids", "sizes", "edge_index"):
+        assert np.array_equal(getattr(graph, name), getattr(again, name)), name
+    assert again.frame_index == 3
+    assert json.dumps(graph_to_json(again)) == json.dumps(graph_to_json(graph))
+
+
+def test_graph_arrays_are_read_only():
+    graph = build_static_graph(_mask(SMALL), cfg=FeatureConfig(min_segment_pixels=1))
+    with pytest.raises(ValueError):
+        graph.x[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        graph.edge_index[0, 0] = 2
+    assert graph.nodes is graph.nodes
