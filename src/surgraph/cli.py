@@ -308,7 +308,6 @@ def cmd_explain(args) -> int:
             lr=args.lr,
             sparsity=args.sparsity,
             entropy=args.entropy,
-            seed=args.seed if args.seed is not None else 0,
         )
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
@@ -475,7 +474,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--sparsity", type=float, default=0.005)
     p.add_argument("--entropy", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -2,10 +2,11 @@
 
 A sigmoid-parameterized weight per edge scales the adjacency before degree
 normalization; the weights are optimized to keep the original prediction
-while being sparse and binary (cross-entropy + L1 + entropy objective). The
-gradient of the loss through the renormalized adjacency is derived in closed
-form below. High-importance edges are then grouped into connected subgraphs
-and the whole thing can be rendered as DOT.
+while being sparse and binary (GNNExplainer's cross-entropy + size +
+entropy objective). The model's loss and its gradient with respect to the
+edge weights come from the training kernel
+(``gcn.loss_and_edge_gradient``). High-importance edges are then grouped
+into connected subgraphs and the whole thing can be rendered as DOT.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from .dynamic_graph import EDGE_TEMPORAL, DynamicGraph
-from .errors import EmptyGraph, NonFiniteLoss, NotTrained
-from .gcn import GcnModel, forward
+from .errors import NonFiniteLoss, NotTrained
+from .gcn import GcnModel, forward, loss_and_edge_gradient
 from .ingest import LabelMap
-from .numerics import softmax
 
 __all__ = [
     "ExplainConfig",
@@ -41,7 +41,6 @@ class ExplainConfig:
     lr: float = 0.01
     sparsity: float = 0.005  # weight of sum(sigma(m))
     entropy: float = 0.1  # weight of sum of binary entropies
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -52,6 +51,13 @@ class ExplainConfig:
 
 @dataclass(frozen=True)
 class Explanation:
+    """Importances found for one prediction.
+
+    ``converged`` is True when the objective of the last two iterations
+    differed by less than 1e-6 (and for a graph without edges). It only
+    reports; the loop always runs all ``iterations``.
+    """
+
     edge_importance: np.ndarray  # sigma(mask logits), one per edge, in [0,1]
     node_importance: np.ndarray  # max over incident edges, 0 for isolated nodes
     target_class: int
@@ -62,7 +68,7 @@ class Explanation:
 @dataclass(frozen=True)
 class Subgraph:
     node_indices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]  # indices into the parent graph's edge list
+    edges: tuple[tuple[int, int], ...]  # (i, j) of each kept edge, in edge-list order
     total_importance: float
 
 
@@ -75,75 +81,20 @@ def _sigmoid(x):
     return out
 
 
-def _edge_endpoints(graph) -> list[tuple[int, int]]:
-    return list(map(tuple, graph.edge_index.tolist()))
+def _objective(model, graph, logits_mask, target, lam1, lam2):
+    """GNNExplainer's loss and its gradient with respect to the mask logits m.
 
-
-def _masked_loss_and_grad(model, x, edges, logits_mask, target, lam1, lam2):
-    """Loss and d(loss)/d(mask logits) through the renormalized adjacency.
-
-    With w = sigma(m) scaling each off-diagonal entry of A + I, degrees
-    become D_i = 1 + sum of incident w. Writing S = D^{-1/2} (A_w + I)
-    D^{-1/2} and G = sum over layers of dZ_l M_l^T (dL/dS), the chain rule
-    per edge e=(i,j) is
-
-        dL/dw_e = (G_ij + G_ji) d_i d_j + T_i + T_j,
-        T_u = -1/2 D_u^{-3/2} * sum_b (G_ub + G_bu) Ahat_ub d_b,
-
-    i.e. one direct term for the scaled entry plus two degree terms.
+    Cross-entropy of ``target`` with edges weighted by w = sigma(m), plus
+    lam1 * sum(w) and lam2 * the summed binary entropy of w.
     """
-    n = x.shape[0]
     w = _sigmoid(logits_mask)
-
-    ahat = np.eye(n)
-    deg = np.ones(n)
-    for e, (i, j) in enumerate(edges):
-        ahat[i, j] = w[e]
-        ahat[j, i] = w[e]
-        deg[i] += w[e]
-        deg[j] += w[e]
-    d = deg**-0.5
-    s = np.outer(d, d) * ahat
-
-    # forward, caching pre-activations
-    h = x
-    cache = []
-    for weight, bias in zip(model.weights, model.biases):
-        m_l = h @ weight
-        z = s @ m_l + bias
-        cache.append((m_l, z))
-        h = np.maximum(z, 0.0)
-    pooled = h.sum(axis=0)
-    out = pooled @ model.fc_weight + model.fc_bias
-    probs = softmax(out)
-    ce = float(-np.log(max(probs[target], 1e-12)))
+    ce, grad_w = loss_and_edge_gradient(model, graph, target, w)
     entropy = float(-(xlogy(w, w) + xlogy(1.0 - w, 1.0 - w)).sum())
     loss = ce + lam1 * float(w.sum()) + lam2 * entropy
-
-    # backward to G = dL/dS
-    dlogits = probs.copy()
-    dlogits[target] -= 1.0
-    dpooled = model.fc_weight @ dlogits
-    dh = np.tile(dpooled, (n, 1))
-    g = np.zeros((n, n))
-    for l in range(len(model.weights) - 1, -1, -1):
-        m_l, z = cache[l]
-        dz = dh * (z > 0.0)
-        g += dz @ m_l.T
-        dm = s @ dz  # s symmetric
-        dh = dm @ model.weights[l].T
-
-    r = g + g.T
-    row = (r * ahat * d[None, :]).sum(axis=1)  # sum_b (G_ub+G_bu) Ahat_ub d_b
-    t_term = -0.5 * deg**-1.5 * row
-    grad_w = np.empty(len(edges))
-    for e, (i, j) in enumerate(edges):
-        grad_w[e] = r[i, j] * d[i] * d[j] + t_term[i] + t_term[j]
-
     sig_grad = w * (1.0 - w)
     # d(entropy)/dm = ln((1-w)/w) * w(1-w) = -m * w(1-w)
     grad_m = grad_w * sig_grad + lam1 * sig_grad - lam2 * logits_mask * sig_grad
-    return loss, grad_m, w
+    return loss, grad_m
 
 
 def explain_prediction(
@@ -157,34 +108,29 @@ def explain_prediction(
     explain). Graphs without edges yield an all-zero-importance explanation.
     """
     cfg = cfg or ExplainConfig()
-    x = graph.x
-    if x.shape[0] == 0:
-        raise EmptyGraph("cannot explain an empty graph")
-    _, probs, target = forward(model, graph)
+    _, probs, target = forward(model, graph)  # EmptyGraph for a graph without nodes
     if np.allclose(probs, 1.0 / probs.shape[0], atol=1e-9):
         raise NotTrained("model predicts uniform probabilities; nothing to explain")
 
-    edges = _edge_endpoints(graph)
-    n_nodes = x.shape[0]
-    if not edges:
+    ends = np.asarray(graph.edge_index, dtype=np.int64).reshape(-1, 2)
+    node_importance = np.zeros(graph.x.shape[0])
+    if len(ends) == 0:
         return Explanation(
             edge_importance=np.zeros(0),
-            node_importance=np.zeros(n_nodes),
+            node_importance=node_importance,
             target_class=target,
             converged=True,
             iterations=0,
         )
 
-    m = np.zeros(len(edges))
+    m = np.zeros(len(ends))
     adam_m = np.zeros_like(m)
     adam_v = np.zeros_like(m)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     prev_loss = np.inf
     converged = False
     for it in range(1, cfg.iterations + 1):
-        loss, grad, w = _masked_loss_and_grad(
-            model, x, edges, m, target, cfg.sparsity, cfg.entropy
-        )
+        loss, grad = _objective(model, graph, m, target, cfg.sparsity, cfg.entropy)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"explainer loss {loss} at iteration {it}")
         adam_m = beta1 * adam_m + (1 - beta1) * grad
@@ -196,10 +142,8 @@ def explain_prediction(
         prev_loss = loss
 
     importance = _sigmoid(m)
-    node_importance = np.zeros(n_nodes)
-    for e, (i, j) in enumerate(edges):
-        node_importance[i] = max(node_importance[i], importance[e])
-        node_importance[j] = max(node_importance[j], importance[e])
+    np.maximum.at(node_importance, ends[:, 0], importance)
+    np.maximum.at(node_importance, ends[:, 1], importance)
     return Explanation(
         edge_importance=importance,
         node_importance=node_importance,
@@ -219,7 +163,7 @@ def extract_subgraphs(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    edges = _edge_endpoints(graph)
+    edges = list(map(tuple, graph.edge_index.tolist()))
     kept = [e for e in range(len(edges)) if explanation.edge_importance[e] >= threshold]
 
     parent = list(range(graph.x.shape[0]))

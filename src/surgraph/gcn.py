@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .numerics import SparseAdjacency, softmax
+from .numerics import SparseAdjacency, cross_entropy, softmax
 
 DEFAULT_HIDDEN_DIMS = (64, 64, 128, 128, 192, 128, 64, 64)
 
@@ -155,13 +155,18 @@ def init_model(cfg: GcnConfig) -> GcnModel:
     )
 
 
-def normalize_adjacency(graph) -> SparseAdjacency:
+def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
     """Dhat^{-1/2} (A + I) Dhat^{-1/2} over the graph's undirected edges.
 
     Reads the graph's ``x`` (for the node count) and its E x 2
     ``edge_index``. Spatial and temporal edges are treated identically;
     self-loops and repeated or reversed edges count once. Raises OutOfRange
     for an edge end outside the graph's nodes.
+
+    With per-edge weights ``w`` (one per row of ``edge_index``), edge e
+    enters A as w_e, so degrees become 1 + sum of incident w. Edges are then
+    taken as given: a self-loop or a repeated or reversed pair raises
+    DuplicateEntry.
     """
     n = graph.x.shape[0]
     if n == 0:
@@ -170,18 +175,26 @@ def normalize_adjacency(graph) -> SparseAdjacency:
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise OutOfRange(f"edge end outside the graph's {n} nodes")
     i, j = ends[:, 0], ends[:, 1]
-    keep = i != j
-    codes = np.sort(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # unique, as np.unique but cheaper
-    lo, hi = np.divmod(codes, n)
-    degree = 1.0 + np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    dinv = 1.0 / np.sqrt(degree)
-    off = dinv[lo] * dinv[hi]
+    if w is None:
+        keep = i != j
+        codes = np.sort(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # unique, as np.unique but cheaper
+        i, j = np.divmod(codes, n)
+        degree = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        dinv = 1.0 / np.sqrt(degree)
+        off = dinv[i] * dinv[j]
+    else:
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != i.shape:
+            raise ShapeMismatch(f"edge weights of shape {w.shape} for {len(i)} edges")
+        incident = np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
+        dinv = 1.0 / np.sqrt(1.0 + incident)
+        off = w * dinv[i] * dinv[j]
     diag = np.arange(n)
     return SparseAdjacency.from_triples(
         n,
-        np.concatenate([diag, lo, hi]),
-        np.concatenate([diag, hi, lo]),
+        np.concatenate([diag, i, j]),
+        np.concatenate([diag, j, i]),
         np.concatenate([dinv * dinv, off, off]),
     )
 
@@ -209,49 +222,75 @@ def global_add_pool(h: np.ndarray) -> np.ndarray:
     return h.sum(axis=0)
 
 
-def prepare_inputs(graph) -> tuple[np.ndarray, SparseAdjacency]:
-    """Feature matrix ``x`` and normalized adjacency for one graph."""
-    if graph.x.shape[0] == 0:
-        raise EmptyGraph("graph has no nodes")
-    return graph.x, normalize_adjacency(graph)
-
-
 def forward(model: GcnModel, graph) -> tuple[np.ndarray, np.ndarray, int]:
     """(logits, probs, predicted class); argmax ties go to the lowest index."""
-    x, anorm = prepare_inputs(graph)
-    return forward_prepared(model, x, anorm)
+    return forward_prepared(model, graph.x, normalize_adjacency(graph))
 
 
 def forward_prepared(
     model: GcnModel, x: np.ndarray, anorm: SparseAdjacency
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Forward pass on a precomputed feature matrix and normalized adjacency."""
-    if x.shape[0] == 0:
-        raise EmptyGraph("graph has no nodes")
-    if x.shape[1] != model.config.input_dim:
-        raise DimensionMismatch(
-            f"graph features are {x.shape[1]}-d, model expects {model.config.input_dim}"
-        )
+    _check_features(model, x)
     logits, probs, _ = _forward_cached(model, x, anorm)
     return logits, probs, int(np.argmax(probs))
 
 
 def loss_and_gradients(model: GcnModel, graph, label: int) -> tuple[float, Gradients]:
     """Cross-entropy loss and its exact gradient for one labelled graph."""
-    x, anorm = prepare_inputs(graph)
-    return loss_and_gradients_prepared(model, x, anorm, label)
+    return loss_and_gradients_prepared(model, graph.x, normalize_adjacency(graph), label)
 
 
 def loss_and_gradients_prepared(
     model: GcnModel, x: np.ndarray, anorm: SparseAdjacency, label: int
 ) -> tuple[float, Gradients]:
-    if x.shape[0] == 0:
-        raise EmptyGraph("graph has no nodes")
-    if x.shape[1] != model.config.input_dim:
-        raise DimensionMismatch(
-            f"graph features are {x.shape[1]}-d, model expects {model.config.input_dim}"
-        )
-    return _loss_and_gradients_prepared(model, x, anorm, label)
+    _check_features(model, x)
+    _, probs, (cache, h_last, pooled, _) = _forward_cached(model, x, anorm)
+    loss, dlogits, dh = _head_backward(model, probs, label, h_last.shape[0])
+    d_weights: list[np.ndarray] = [None] * len(model.weights)
+    d_biases: list[np.ndarray] = [None] * len(model.weights)
+    for l, dz, dm in _backward_layers(model, anorm, cache, dh):
+        d_biases[l] = dz.sum(axis=0)
+        d_weights[l] = cache[l][0].T @ dm
+    return loss, Gradients(
+        weights=tuple(d_weights),
+        biases=tuple(d_biases),
+        fc_weight=np.outer(pooled, dlogits),
+        fc_bias=dlogits.copy(),
+    )
+
+
+def loss_and_edge_gradient(
+    model: GcnModel, graph, label: int, w: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy with edge e of ``graph`` weighted by w_e, and dL/dw.
+
+    The adjacency is S = D^{-1/2} (A_w + I) D^{-1/2} with D_u = 1 + sum of
+    incident w (``normalize_adjacency(graph, w)``). Writing d = D^{-1/2} and
+    G = dL/dS = sum over layers of dZ_l M_l^T, the chain rule through the
+    scaled entry and both renormalized degrees gives, per edge e = (i, j),
+
+        dL/dw_e = (G_ij + G_ji) d_i d_j + T_i + T_j,
+        T_u = -1/2 D_u^{-3/2} sum_b (G_ub + G_bu) Ahat_ub d_b
+            = -1/2 S_uu sum_b (G_ub + G_bu) S_ub,
+
+    and d_i d_j = sqrt(S_ii S_jj), so both terms are read off S.
+    """
+    x = graph.x
+    _check_features(model, x)
+    anorm = normalize_adjacency(graph, w)
+    _, probs, (cache, _, _, _) = _forward_cached(model, x, anorm, keep_products=True)
+    n = x.shape[0]
+    loss, _, dh = _head_backward(model, probs, label, n)
+    g = np.zeros((n, n))
+    for l, dz, _ in _backward_layers(model, anorm, cache, dh):
+        g += dz @ cache[l][1].T
+    r = g + g.T
+    s_diag = anorm.values[anorm.rows == anorm.cols]  # the triples hold S_uu for every u, in order
+    rs = np.bincount(anorm.rows, weights=r[anorm.rows, anorm.cols] * anorm.values, minlength=n)
+    t = -0.5 * s_diag * rs
+    i, j = np.asarray(graph.edge_index, dtype=np.int64).T
+    return loss, r[i, j] * np.sqrt(s_diag[i] * s_diag[j]) + t[i] + t[j]
 
 
 def backward(model: GcnModel, graph, label: int) -> Gradients:
@@ -259,55 +298,56 @@ def backward(model: GcnModel, graph, label: int) -> Gradients:
     return loss_and_gradients(model, graph, label)[1]
 
 
-def _forward_cached(model, x, anorm):
-    """Forward pass keeping per-layer pre-activations for the backward pass."""
+def _check_features(model, x):
+    if x.shape[0] == 0:
+        raise EmptyGraph("graph has no nodes")
+    if x.shape[1] != model.config.input_dim:
+        raise DimensionMismatch(
+            f"graph features are {x.shape[1]}-d, model expects {model.config.input_dim}"
+        )
+
+
+def _forward_cached(model, x, anorm, keep_products=False):
+    """Forward pass keeping per-layer values for the backward pass.
+
+    The cache holds (h_in, m = h_in @ W, z = S m + b) per layer; m is None
+    unless ``keep_products`` (only the edge gradient reads it, and holding
+    every m costs the other callers time).
+    """
     h = x
-    cache = []  # (h_in, z) per layer
+    cache = []
     for weight, bias in zip(model.weights, model.biases):
         if h.shape[1] != weight.shape[0]:
             raise DimensionMismatch(
                 f"features {h.shape} do not chain with weight {weight.shape}"
             )
-        z = anorm.apply(h @ weight) + bias
-        cache.append((h, z))
+        m = h @ weight
+        z = anorm.apply(m) + bias
+        cache.append((h, m if keep_products else None, z))
         h = np.maximum(z, 0.0)
     pooled = global_add_pool(h)
     logits = pooled @ model.fc_weight + model.fc_bias
     probs = softmax(logits)
     return logits, probs, (cache, h, pooled, probs)
 
-def _loss_and_gradients_prepared(model, x, anorm, label):
-    if not 0 <= label < model.config.num_classes:
-        raise DimensionMismatch(
-            f"label {label} outside {model.config.num_classes} classes"
-        )
-    _, probs, extras = _forward_cached(model, x, anorm)
-    cache, h_last, pooled, _ = extras
-    loss = float(-np.log(max(probs[label], 1e-12)))
 
-    # Head: dL/dlogits = p - e_y; pooled vector fans out to every node row.
+def _head_backward(model, probs, label, node_count):
+    """Cross-entropy, dL/dlogits = p - e_y, and dL/dh fanned out to every node row."""
+    loss = cross_entropy(probs, label)  # LabelOutOfRange outside the model's classes
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    d_fc_weight = np.outer(pooled, dlogits)
-    d_fc_bias = dlogits.copy()
-    dpooled = model.fc_weight @ dlogits
-    dh = np.tile(dpooled, (h_last.shape[0], 1))
+    dh = np.tile(model.fc_weight @ dlogits, (node_count, 1))
+    return loss, dlogits, dh
 
-    d_weights: list[np.ndarray] = [None] * len(model.weights)
-    d_biases: list[np.ndarray] = [None] * len(model.weights)
+
+def _backward_layers(model, anorm, cache, dh):
+    """Yield (layer, dL/dZ, dL/dM) from the last layer to the first."""
     for l in range(len(model.weights) - 1, -1, -1):
-        h_in, z = cache[l]
+        z = cache[l][2]
         dz = dh * (z > 0.0)
-        d_biases[l] = dz.sum(axis=0)
         dm = anorm.apply(dz)  # S is symmetric, so S^T dZ = S dZ
-        d_weights[l] = h_in.T @ dm
+        yield l, dz, dm
         dh = dm @ model.weights[l].T
-    return loss, Gradients(
-        weights=tuple(d_weights),
-        biases=tuple(d_biases),
-        fc_weight=d_fc_weight,
-        fc_bias=d_fc_bias,
-    )
 
 
 # --- optimizer ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,7 @@ from .errors import (
     EmptyEvalSet,
     EmptyMask,
     EmptyTrainSet,
+    MissingLabel,
     NonFiniteLoss,
     OverlappingSplits,
 )
@@ -198,11 +200,14 @@ def build_samples(
     are shorter; frames missing from the mask directory are simply absent
     from the windows that would have included them. A frame with no segment
     of at least ``min_segment_pixels`` is skipped the same way (it anchors
-    no sample), and one warning counts the skipped frames.
+    no sample). A window whose label frame has no phase annotation is
+    skipped too (its frame still serves other windows), and one warning
+    counts the skipped frames by reason.
     """
     window_cfg = cfg.window_config()
     samples: list[GraphSample] = []
     skipped: list[str] = []
+    unlabelled: list[str] = []
     for video in videos:
         mask_files = list_mask_files(video.mask_dir)
         if not mask_files:
@@ -234,28 +239,36 @@ def build_samples(
             wanted = select_window(frame, cfg.window, cfg.dilation)
             graphs = [static[i] for i in wanted if i in static]
             dyn = build_dynamic_graph(graphs, window_cfg)
+            try:
+                label = track.label_at(dyn.label_frame_index)
+            except MissingLabel:
+                unlabelled.append(f"{video.video_id}/{dyn.label_frame_index}")
+                continue
             samples.append(
                 GraphSample(
                     video_id=video.video_id,
                     frame_index=frame,
-                    label=track.label_at(dyn.label_frame_index),
+                    label=label,
                     x=dyn.x,
                     adjacency=normalize_adjacency(dyn),
                 )
             )
-    warn_skipped_frames(skipped, cfg.feature_config)
+    warn_skipped_frames(skipped, cfg.feature_config, unlabelled)
     return samples
 
 
-def warn_skipped_frames(skipped: list[str], cfg: FeatureConfig) -> None:
-    """One warning naming every ``video/frame`` skipped for having no segment."""
-    if skipped:
-        log.warning(
-            "skipped %d frame(s) with no segment >= %d px: %s",
-            len(skipped),
-            cfg.min_segment_pixels,
-            ", ".join(skipped),
-        )
+def warn_skipped_frames(
+    skipped: list[str], cfg: FeatureConfig, unlabelled: Sequence[str] = ()
+) -> None:
+    """One warning naming every skipped ``video/frame``, grouped by reason.
+
+    ``skipped`` frames have no segment of at least ``min_segment_pixels``;
+    ``unlabelled`` frames label a window but have no phase annotation.
+    """
+    reasons = {f"no segment >= {cfg.min_segment_pixels} px": skipped, "no phase label": unlabelled}
+    parts = [f"{len(v)} frame(s) with {r}: {', '.join(v)}" for r, v in reasons.items() if v]
+    if parts:
+        log.warning("skipped %s", "; ".join(parts))
 
 
 def train(

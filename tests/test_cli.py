@@ -210,6 +210,35 @@ def test_explain_writes_parseable_dot(checkpoint, dataset, tmp_path, capsys):
     assert "top edge" in capsys.readouterr().out
 
 
+def test_explain_rejects_repeated_edge(checkpoint, dataset, tmp_path, capsys):
+    ckpt, _ = checkpoint
+    graphs = tmp_path / "graphs"
+    assert run(
+        [
+            "build-graphs", "--manifest", str(dataset), "--out", str(graphs),
+            "--mode", "dynamic", "--window", "3", "--dilation", "1",
+            "--split", "test", "--num-classes", "17",
+        ]
+    ) == 0
+    data = json.loads(sorted(graphs.glob("*.json"))[10].read_text())
+    i, j, kind = data["edges"][0]
+    data["edges"].append([j, i, kind])
+    graph_file = tmp_path / "repeated.json"
+    graph_file.write_text(json.dumps(data))
+    dot_out = tmp_path / "expl.dot"
+    capsys.readouterr()
+    code = run(
+        [
+            "explain", "--checkpoint", str(ckpt), "--graph", str(graph_file),
+            "--dot-out", str(dot_out), "--iterations", "5",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: adjacency entry") and "given twice" in err
+    assert not dot_out.exists()
+
+
 def test_ablate_writes_csv(dataset, tmp_path):
     base = TrainConfig(
         feature_config=FeatureConfig(num_classes=17),

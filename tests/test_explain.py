@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
-from surgraph.errors import NotTrained
+from surgraph.errors import EmptyGraph, NotTrained
 from surgraph.explain import (
     ExplainConfig,
     Explanation,
-    _masked_loss_and_grad,
+    _objective,
+    _sigmoid,
     explain_prediction,
     explanation_to_json,
     export_dot,
@@ -20,12 +22,13 @@ from surgraph.gcn import (
     forward,
     init_adam_state,
     init_model,
+    loss_and_edge_gradient,
     loss_and_gradients,
 )
 from surgraph.ingest import label_map_from_entries
-from surgraph.numerics import cross_entropy
+from surgraph.numerics import DENSE_NODE_LIMIT, cross_entropy, grad_check, softmax
 
-from test_gcn import FakeGraph
+from test_gcn import FakeGraph, _random_graph
 
 
 def _edge_sensitive_model():
@@ -67,16 +70,169 @@ def test_heavy_sparsity_drives_mask_down():
 def test_fully_masked_forward_matches_edgeless_graph():
     model, graph = _edge_sensitive_model()
     x = graph.feature_matrix()
-    edges = [(0, 1), (1, 2)]
     target = forward(model, graph)[2]
     # logits of -40 push every edge weight to ~0
-    loss, _, w = _masked_loss_and_grad(
-        model, x, edges, np.full(len(edges), -40.0), target, 0.0, 0.0
-    )
+    w = _sigmoid(np.full(len(graph.edges), -40.0))
     assert np.max(w) < 1e-15
+    loss, _ = loss_and_edge_gradient(model, graph, target, w)
     bare = FakeGraph(x, ())
     _, probs, _ = forward(model, bare)
     assert loss == pytest.approx(cross_entropy(probs, target), abs=1e-9)
+
+
+# --- the explainer on the training kernel against the dense kernel it replaced ---------
+
+def _masked_loss_and_grad(model, x, edges, logits_mask, target, lam1, lam2):
+    """Loss and d(loss)/d(mask logits) through the renormalized adjacency.
+
+    With w = sigma(m) scaling each off-diagonal entry of A + I, degrees
+    become D_i = 1 + sum of incident w. Writing S = D^{-1/2} (A_w + I)
+    D^{-1/2} and G = sum over layers of dZ_l M_l^T (dL/dS), the chain rule
+    per edge e=(i,j) is
+
+        dL/dw_e = (G_ij + G_ji) d_i d_j + T_i + T_j,
+        T_u = -1/2 D_u^{-3/2} * sum_b (G_ub + G_bu) Ahat_ub d_b,
+
+    i.e. one direct term for the scaled entry plus two degree terms.
+    """
+    n = x.shape[0]
+    w = _sigmoid(logits_mask)
+
+    ahat = np.eye(n)
+    deg = np.ones(n)
+    for e, (i, j) in enumerate(edges):
+        ahat[i, j] = w[e]
+        ahat[j, i] = w[e]
+        deg[i] += w[e]
+        deg[j] += w[e]
+    d = deg**-0.5
+    s = np.outer(d, d) * ahat
+
+    # forward, caching pre-activations
+    h = x
+    cache = []
+    for weight, bias in zip(model.weights, model.biases):
+        m_l = h @ weight
+        z = s @ m_l + bias
+        cache.append((m_l, z))
+        h = np.maximum(z, 0.0)
+    pooled = h.sum(axis=0)
+    out = pooled @ model.fc_weight + model.fc_bias
+    probs = softmax(out)
+    ce = float(-np.log(max(probs[target], 1e-12)))
+    entropy = float(-(xlogy(w, w) + xlogy(1.0 - w, 1.0 - w)).sum())
+    loss = ce + lam1 * float(w.sum()) + lam2 * entropy
+
+    # backward to G = dL/dS
+    dlogits = probs.copy()
+    dlogits[target] -= 1.0
+    dpooled = model.fc_weight @ dlogits
+    dh = np.tile(dpooled, (n, 1))
+    g = np.zeros((n, n))
+    for l in range(len(model.weights) - 1, -1, -1):
+        m_l, z = cache[l]
+        dz = dh * (z > 0.0)
+        g += dz @ m_l.T
+        dm = s @ dz  # s symmetric
+        dh = dm @ model.weights[l].T
+
+    r = g + g.T
+    row = (r * ahat * d[None, :]).sum(axis=1)  # sum_b (G_ub+G_bu) Ahat_ub d_b
+    t_term = -0.5 * deg**-1.5 * row
+    grad_w = np.empty(len(edges))
+    for e, (i, j) in enumerate(edges):
+        grad_w[e] = r[i, j] * d[i] * d[j] + t_term[i] + t_term[j]
+
+    sig_grad = w * (1.0 - w)
+    # d(entropy)/dm = ln((1-w)/w) * w(1-w) = -m * w(1-w)
+    grad_m = grad_w * sig_grad + lam1 * sig_grad - lam2 * logits_mask * sig_grad
+    return loss, grad_m, w
+
+
+def _reference_explanation(model, graph, cfg):
+    """The Adam loop of explain_prediction, run on the dense reference kernel."""
+    edges = list(map(tuple, graph.edge_index.tolist()))
+    target = forward(model, graph)[2]
+    m = np.zeros(len(edges))
+    adam_m = np.zeros_like(m)
+    adam_v = np.zeros_like(m)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for it in range(1, cfg.iterations + 1):
+        _, grad, _ = _masked_loss_and_grad(
+            model, graph.x, edges, m, target, cfg.sparsity, cfg.entropy
+        )
+        adam_m = beta1 * adam_m + (1 - beta1) * grad
+        adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+        m_hat = adam_m / (1 - beta1**it)
+        v_hat = adam_v / (1 - beta2**it)
+        m = m - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+    importance = _sigmoid(m)
+    node_importance = np.zeros(graph.x.shape[0])
+    for e, (i, j) in enumerate(edges):
+        node_importance[i] = max(node_importance[i], importance[e])
+        node_importance[j] = max(node_importance[j], importance[e])
+    return target, importance, node_importance
+
+
+def _random_case(n, seed, hidden_dims=(64, 64, 128, 128, 192, 128, 64, 64)):
+    """A seeded random graph of ``n`` nodes, about 1.5 edges per node, and a model."""
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(rng, n, 6, p_edge=min(0.4, 3.0 / n))
+    model = init_model(
+        GcnConfig(input_dim=6, hidden_dims=hidden_dims, num_classes=4, seed=seed)
+    )
+    return model, graph, forward(model, graph)[2]
+
+
+# one graph on each side of the dense/CSR switch in SparseAdjacency
+SIZES = (5, 70)
+
+
+def test_sizes_cover_both_adjacency_kernels():
+    assert SIZES[0] < DENSE_NODE_LIMIT <= SIZES[1]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mask_gradient_matches_central_differences(n):
+    model, graph, target = _random_case(n, seed=n, hidden_dims=(8, 8, 8))
+    logits = np.random.default_rng(n + 1).normal(size=len(graph.edges))
+
+    def f(m):
+        return _objective(model, graph, m, target, 0.005, 0.1)
+
+    assert grad_check(f, logits, eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_objective_matches_dense_reference(n):
+    model, graph, target = _random_case(n, seed=n)
+    edges = list(map(tuple, graph.edge_index.tolist()))
+    rng = np.random.default_rng(n + 2)
+    for _ in range(5):
+        logits = rng.normal(scale=2.0, size=len(edges))
+        loss, grad = _objective(model, graph, logits, target, 0.005, 0.1)
+        ref_loss, ref_grad, _ = _masked_loss_and_grad(
+            model, graph.x, edges, logits, target, 0.005, 0.1
+        )
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_explanation_matches_dense_reference(n):
+    model, graph, _ = _random_case(n, seed=n)
+    cfg = ExplainConfig(iterations=60)
+    expl = explain_prediction(model, graph, cfg)
+    target, importance, node_importance = _reference_explanation(model, graph, cfg)
+    assert expl.target_class == target
+    np.testing.assert_allclose(expl.edge_importance, importance, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(expl.node_importance, node_importance, rtol=0, atol=1e-12)
+
+
+def test_empty_graph_raises():
+    model, _ = _edge_sensitive_model()
+    with pytest.raises(EmptyGraph):
+        explain_prediction(model, FakeGraph(np.zeros((0, 3)), ()))
 
 
 def test_zero_model_raises_not_trained():

@@ -8,8 +8,11 @@ from scipy import sparse
 from surgraph.errors import (
     CorruptCheckpoint,
     DimensionMismatch,
+    DuplicateEntry,
     EmptyGraph,
+    LabelOutOfRange,
     OutOfRange,
+    ShapeMismatch,
     VersionMismatch,
 )
 from surgraph.gcn import (
@@ -23,6 +26,7 @@ from surgraph.gcn import (
     init_adam_state,
     init_model,
     load_checkpoint,
+    loss_and_edge_gradient,
     loss_and_gradients,
     normalize_adjacency,
     save_checkpoint,
@@ -125,6 +129,43 @@ def test_normalize_rejects_edge_outside_graph():
     for edges in (((0, 2),), ((-1, 0, "spatial"),)):
         with pytest.raises(OutOfRange):
             normalize_adjacency(FakeGraph(np.zeros((2, 2)), edges))
+
+
+def test_weighted_normalize_matches_dense_formula():
+    rng = np.random.default_rng(5)
+    for n in (4, 2 * DENSE_NODE_LIMIT):
+        g = _random_graph(rng, n, 3, p_edge=min(0.4, 3.0 / n))
+        w = rng.uniform(0.0, 1.0, size=len(g.edges))
+        a = np.eye(n)
+        for (i, j), wij in zip(g.edges, w):
+            a[i, j] = a[j, i] = wij
+        d = a.sum(axis=1) ** -0.5
+        np.testing.assert_allclose(
+            normalize_adjacency(g, w).to_dense(), d[:, None] * a * d[None, :],
+            rtol=1e-14, atol=0,
+        )
+
+
+@pytest.mark.parametrize("n", [6, 2 * DENSE_NODE_LIMIT])
+def test_unit_edge_weights_match_unweighted_bitwise(n):
+    rng = np.random.default_rng(n)
+    g = _random_graph(rng, n, 5, p_edge=min(0.4, 3.0 / n))
+    ones = np.ones(len(g.edges))
+    plain, weighted = normalize_adjacency(g), normalize_adjacency(g, ones)
+    assert np.array_equal(weighted.rows, plain.rows)
+    assert np.array_equal(weighted.cols, plain.cols)
+    assert np.array_equal(weighted.values, plain.values)
+    model = init_model(GcnConfig(input_dim=5, hidden_dims=(6, 7), num_classes=3, seed=n))
+    assert loss_and_edge_gradient(model, g, 1, ones)[0] == loss_and_gradients(model, g, 1)[0]
+
+
+def test_weighted_normalize_takes_edges_as_given():
+    x = np.zeros((3, 2))
+    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1)), ((0, 1), (2, 2))):
+        with pytest.raises(DuplicateEntry):
+            normalize_adjacency(FakeGraph(x, edges), np.full(2, 0.5))
+    with pytest.raises(ShapeMismatch):
+        normalize_adjacency(FakeGraph(x, ((0, 1),)), np.full(2, 0.5))
 
 
 def _reference_normalize(graph):
@@ -407,6 +448,16 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatch):
         load_checkpoint(path)
+
+
+def test_label_outside_classes_is_rejected():
+    model = init_model(SMALL_CFG)
+    g = FakeGraph(np.zeros((3, 5)), ((0, 1),))
+    for label in (-1, 3):
+        with pytest.raises(LabelOutOfRange):
+            loss_and_gradients(model, g, label)
+        with pytest.raises(LabelOutOfRange):
+            loss_and_edge_gradient(model, g, label, np.ones(1))
 
 
 def test_feature_dim_mismatch_at_forward():

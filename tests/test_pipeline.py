@@ -277,3 +277,35 @@ def test_empty_frame_is_skipped_and_counted(tmp_path, monkeypatch, caplog):
     assert (3, 4, 6) in windows
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == ["skipped 1 frame(s) with no segment >= 10 px: train0/5"]
+
+
+def test_unlabelled_frame_is_skipped_and_counted(tmp_path, caplog):
+    cfg = preset_distinct_tools(n_frames=20, phase_frames=5, seed=3, video_id="v0")
+    manifest_path, _ = generate_dataset(tmp_path, [cfg], fps=1)
+    manifest = load_manifest(manifest_path)
+    video = manifest.videos[0]
+    rows = video.phase_csv.read_text().splitlines(keepends=True)
+    kept = [row for row in rows if not row.startswith("7,")]
+    assert len(kept) == len(rows) - 1
+    video.phase_csv.write_text("".join(kept))
+
+    train_cfg = dataclasses.replace(SMALL_TRAIN, window=4, dilation=1, epochs=2)
+    with caplog.at_level(logging.WARNING, logger="surgraph.pipeline"):
+        samples = build_samples([video], train_cfg)
+        _, history = train(train_cfg, manifest)
+    assert len(history) == 2
+    assert sorted(s.frame_index for s in samples) == [f for f in range(20) if f != 7]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["skipped 1 frame(s) with no phase label: v0/7"] * 2
+
+    # an empty frame and an unlabelled one are named in the same line
+    blank = SegmentationMask(3, 3, np.zeros((3, 3), dtype=np.uint8), 5)
+    write_mask(blank, video.mask_dir / "000005.sgm")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="surgraph.pipeline"):
+        samples = build_samples([video], train_cfg)
+    assert len(samples) == 18
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 1 frame(s) with no segment >= 10 px: v0/5; "
+        "1 frame(s) with no phase label: v0/7"
+    ]
