@@ -260,7 +260,7 @@ def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> Dyn
         raise ValueError(f"unknown edge kinds {sorted(unknown)}")
     return DynamicGraph(
         **node_arrays_from_json(data),
-        edge_index=edge_index_from_json(edges),
+        edge_index=edge_index_from_json(edges, len(data["nodes"]), data["label_frame"]),
         config=cfg,
         window=data["window"],
         dilation=data["dilation"],

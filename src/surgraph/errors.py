@@ -80,7 +80,8 @@ class ShapeMismatch(SurgraphError):
 
 
 class DuplicateEntry(SurgraphError):
-    """A sparse matrix is given the same (row, col) entry twice."""
+    """A sparse matrix is given the same (row, col) entry twice, or a graph
+    file gives an edge twice (in either order) or joins a node to itself."""
 
 
 class LabelOutOfRange(SurgraphError):

@@ -4,13 +4,16 @@ Eight graph-convolution layers (symmetric-normalized adjacency with
 self-loops), global add-pooling, and an affine head with softmax. Forward,
 backward, and the Adam update are written out explicitly over numpy arrays;
 the backward pass is validated against central differences in the tests.
+Parameters, gradients and Adam's moments each live in one flat vector, and
+the Adam step updates them in place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
+from .ingest import atomic_write
 from .numerics import SparseAdjacency, cross_entropy, softmax
 
 DEFAULT_HIDDEN_DIMS = (64, 64, 128, 128, 192, 128, 64, 64)
@@ -48,90 +52,101 @@ class GcnConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
-@dataclass(frozen=True)
-class GcnModel:
-    """Per-layer weights/biases plus the classification head."""
+class _FlatLayout:
+    """Parameter-shaped arrays as views of one flat float64 ``vector``.
+
+    The blocks are (W_l, b_l) per layer, then W_fc, b_fc: the checkpoint order.
+    """
+
+    vector: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    fc_weight: np.ndarray
+    fc_bias: np.ndarray
+
+    def parameter_arrays(self) -> list[np.ndarray]:
+        """All blocks in checkpoint order: (W_l, b_l)*, W_fc, b_fc."""
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.extend([w, b])
+        out.extend([self.fc_weight, self.fc_bias])
+        return out
+
+    def to_vector(self) -> np.ndarray:
+        """A copy of the flat vector."""
+        return self.vector.copy()
+
+    def _bind(self, vector: np.ndarray, shapes) -> None:
+        weights, biases, fc_weight, fc_bias = _unflatten(vector, shapes)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "shapes", tuple(shapes))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "fc_weight", fc_weight)
+        object.__setattr__(self, "fc_bias", fc_bias)
+
+
+@dataclass(frozen=True, eq=False)
+class GcnModel(_FlatLayout):
+    """Per-layer weights/biases plus the classification head.
+
+    Construction copies the given arrays into one fresh flat ``vector`` and
+    rebinds the fields to shaped views of it, so every model owns its
+    parameters. ``adam_step`` updates them in place; ``with_vector`` (and
+    ``dataclasses.replace``) give an independent copy.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     fc_weight: np.ndarray
     fc_bias: np.ndarray
     config: GcnConfig
+    vector: np.ndarray = field(init=False, repr=False)
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
-    def parameter_arrays(self) -> list[np.ndarray]:
-        """All parameters in checkpoint order: (W_l, b_l)*, W_fc, b_fc."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        out.extend([self.fc_weight, self.fc_bias])
-        return out
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.parameter_arrays()])
+    def __post_init__(self):
+        arrays = self.parameter_arrays()
+        vector = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self._bind(vector, [a.shape for a in arrays])
 
     def with_vector(self, vec: np.ndarray) -> "GcnModel":
-        arrays = []
-        offset = 0
-        for a in self.parameter_arrays():
-            arrays.append(vec[offset : offset + a.size].reshape(a.shape).copy())
-            offset += a.size
-        if offset != vec.size:
-            raise ShapeMismatch(f"vector length {vec.size}, model needs {offset}")
-        n = len(self.weights)
-        return GcnModel(
-            weights=tuple(arrays[2 * i] for i in range(n)),
-            biases=tuple(arrays[2 * i + 1] for i in range(n)),
-            fc_weight=arrays[2 * n],
-            fc_bias=arrays[2 * n + 1],
-            config=self.config,
-        )
+        """A new model with this one's architecture and the parameters in ``vec``."""
+        vec = np.asarray(vec)
+        if vec.shape != self.vector.shape:
+            raise ShapeMismatch(f"vector of shape {vec.shape}, model needs {self.vector.size}")
+        weights, biases, fc_weight, fc_bias = _unflatten(vec, self.shapes)
+        return GcnModel(weights, biases, fc_weight, fc_bias, self.config)
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Same shapes as the model parameters, in the same order."""
+@dataclass(frozen=True, eq=False)
+class Gradients(_FlatLayout):
+    """dL/dparameters: views of ``vector`` with the model's ``shapes``."""
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
+    vector: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    fc_weight: np.ndarray = field(init=False, repr=False)
+    fc_bias: np.ndarray = field(init=False, repr=False)
 
-    def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        out.extend([self.fc_weight, self.fc_bias])
-        return out
+    def __post_init__(self):
+        self._bind(self.vector, self.shapes)
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.parameter_arrays()])
+
+def _unflatten(vector: np.ndarray, shapes):
+    """(weights, biases, fc_weight, fc_bias) as views of consecutive blocks of ``vector``."""
+    blocks, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(vector[offset : offset + size].reshape(shape))
+        offset += size
+    n = len(blocks) // 2 - 1
+    return tuple(blocks[0 : 2 * n : 2]), tuple(blocks[1 : 2 * n : 2]), blocks[2 * n], blocks[2 * n + 1]
 
 
 def zeros_like_gradients(model: GcnModel) -> Gradients:
-    return Gradients(
-        weights=tuple(np.zeros_like(w) for w in model.weights),
-        biases=tuple(np.zeros_like(b) for b in model.biases),
-        fc_weight=np.zeros_like(model.fc_weight),
-        fc_bias=np.zeros_like(model.fc_bias),
-    )
-
-
-def add_gradients(a: Gradients, b: Gradients) -> Gradients:
-    return Gradients(
-        weights=tuple(x + y for x, y in zip(a.weights, b.weights)),
-        biases=tuple(x + y for x, y in zip(a.biases, b.biases)),
-        fc_weight=a.fc_weight + b.fc_weight,
-        fc_bias=a.fc_bias + b.fc_bias,
-    )
-
-
-def scale_gradients(g: Gradients, s: float) -> Gradients:
-    return Gradients(
-        weights=tuple(w * s for w in g.weights),
-        biases=tuple(b * s for b in g.biases),
-        fc_weight=g.fc_weight * s,
-        fc_bias=g.fc_bias * s,
-    )
+    return Gradients(np.zeros_like(model.vector), model.shapes)
 
 
 def init_model(cfg: GcnConfig) -> GcnModel:
@@ -242,22 +257,27 @@ def loss_and_gradients(model: GcnModel, graph, label: int) -> tuple[float, Gradi
 
 
 def loss_and_gradients_prepared(
-    model: GcnModel, x: np.ndarray, anorm: SparseAdjacency, label: int
+    model: GcnModel,
+    x: np.ndarray,
+    anorm: SparseAdjacency,
+    label: int,
+    out: Gradients | None = None,
 ) -> tuple[float, Gradients]:
+    """Cross-entropy and its gradient, written into ``out`` or a fresh buffer.
+
+    Every entry of ``out`` is overwritten, so one buffer can serve every
+    sample of a training run.
+    """
     _check_features(model, x)
     _, probs, (cache, h_last, pooled, _) = _forward_cached(model, x, anorm)
     loss, dlogits, dh = _head_backward(model, probs, label, h_last.shape[0])
-    d_weights: list[np.ndarray] = [None] * len(model.weights)
-    d_biases: list[np.ndarray] = [None] * len(model.weights)
+    grads = Gradients(np.empty_like(model.vector), model.shapes) if out is None else out
     for l, dz, dm in _backward_layers(model, anorm, cache, dh):
-        d_biases[l] = dz.sum(axis=0)
-        d_weights[l] = cache[l][0].T @ dm
-    return loss, Gradients(
-        weights=tuple(d_weights),
-        biases=tuple(d_biases),
-        fc_weight=np.outer(pooled, dlogits),
-        fc_bias=dlogits.copy(),
-    )
+        dz.sum(axis=0, out=grads.biases[l])
+        np.matmul(cache[l][0].T, dm, out=grads.weights[l])
+    np.outer(pooled, dlogits, out=grads.fc_weight)
+    grads.fc_bias[...] = dlogits
+    return loss, grads
 
 
 def loss_and_edge_gradient(
@@ -341,13 +361,17 @@ def _head_backward(model, probs, label, node_count):
 
 
 def _backward_layers(model, anorm, cache, dh):
-    """Yield (layer, dL/dZ, dL/dM) from the last layer to the first."""
+    """Yield (layer, dL/dZ, dL/dM) from the last layer to the first.
+
+    dL/dh is carried down to layer 1's input; nothing reads it below layer 0.
+    """
     for l in range(len(model.weights) - 1, -1, -1):
         z = cache[l][2]
         dz = dh * (z > 0.0)
         dm = anorm.apply(dz)  # S is symmetric, so S^T dZ = S dZ
         yield l, dz, dm
-        dh = dm @ model.weights[l].T
+        if l:
+            dh = dm @ model.weights[l].T
 
 
 # --- optimizer ---------------------------------------------------------------------
@@ -360,57 +384,60 @@ class AdamHyper:
     eps: float = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class AdamState:
-    m: Gradients
-    v: Gradients
+    """Adam's moments as flat vectors in the model's parameter order, and the step count.
+
+    ``adam_step`` updates ``m``, ``v`` and ``t`` in place, using two scratch
+    vectors of the same size that the state allocates once.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_adam_state(model: GcnModel) -> AdamState:
-    return AdamState(m=zeros_like_gradients(model), v=zeros_like_gradients(model), t=0)
+    return AdamState(m=np.zeros_like(model.vector), v=np.zeros_like(model.vector))
 
 
 def adam_step(
     model: GcnModel, grads: Gradients, state: AdamState, hyper: AdamHyper | None = None
 ) -> tuple[GcnModel, AdamState]:
-    """One bias-corrected Adam update; returns the new model and state."""
+    """One bias-corrected Adam update of ``model`` and ``state``, both in place.
+
+    Returns the same ``(model, state)``. Every array operation writes into
+    the parameters, ``m``, ``v`` or a scratch vector, in the order of
+
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
+
+    so the result is bitwise that of evaluating these per array.
+    """
     hyper = hyper or AdamHyper()
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    params = model.parameter_arrays()
-    gs = grads.parameter_arrays()
-    ms = state.m.parameter_arrays()
-    vs = state.v.parameter_arrays()
-    for p, g, m, v in zip(params, gs, ms, vs):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m2 = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v2 = hyper.beta2 * v + (1.0 - hyper.beta2) * g * g
-        m_hat = m2 / (1.0 - hyper.beta1**t)
-        v_hat = v2 / (1.0 - hyper.beta2**t)
-        new_params.append(p - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps))
-        new_m.append(m2)
-        new_v.append(v2)
-
-    n = len(model.weights)
-
-    def unpack(arrays):
-        return (
-            tuple(arrays[2 * i] for i in range(n)),
-            tuple(arrays[2 * i + 1] for i in range(n)),
-            arrays[2 * n],
-            arrays[2 * n + 1],
-        )
-
-    w, b, fw, fb = unpack(new_params)
-    new_model = GcnModel(weights=w, biases=b, fc_weight=fw, fc_bias=fb, config=model.config)
-    mw, mb, mfw, mfb = unpack(new_m)
-    vw, vb, vfw, vfb = unpack(new_v)
-    new_state = AdamState(
-        m=Gradients(mw, mb, mfw, mfb), v=Gradients(vw, vb, vfw, vfb), t=t
-    )
-    return new_model, new_state
+    p, g, m, v = model.vector, grads.vector, state.m, state.v
+    if g.shape != p.shape:
+        raise ShapeMismatch(f"gradient of shape {g.shape} for {p.size} parameters")
+    state.t += 1
+    s, r = state.scratch
+    m *= hyper.beta1
+    m += np.multiply(g, 1.0 - hyper.beta1, out=s)
+    v *= hyper.beta2
+    np.multiply(g, 1.0 - hyper.beta2, out=s)
+    s *= g
+    v += s
+    np.divide(m, 1.0 - hyper.beta1**state.t, out=s)
+    s *= hyper.lr
+    np.divide(v, 1.0 - hyper.beta2**state.t, out=r)
+    np.sqrt(r, out=r)
+    r += hyper.eps
+    s /= r
+    p -= s
+    return model, state
 
 
 # --- checkpoints -------------------------------------------------------------------
@@ -420,10 +447,12 @@ def save_checkpoint(
 ) -> None:
     """Binary checkpoint: magic, version, JSON header, f64le parameter blocks.
 
+    Written to a temporary file that then replaces ``path``, so a failed
+    write leaves an earlier checkpoint at ``path`` as it was.
+
     ``extra`` is an optional JSON-serializable dict stored verbatim in the
     header (e.g. the training configuration that produced the model).
     """
-    arrays = model.parameter_arrays()
     header = {
         "config": {
             "input_dim": model.config.input_dim,
@@ -431,18 +460,17 @@ def save_checkpoint(
             "num_classes": model.config.num_classes,
             "seed": model.config.seed,
         },
-        "dims": [list(a.shape) for a in arrays],
+        "dims": [list(shape) for shape in model.shapes],
         "step": step,
     }
     if extra:
         header["extra"] = extra
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(model.vector.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> GcnModel:
@@ -468,28 +496,17 @@ def load_checkpoint(path: str | Path) -> GcnModel:
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
 
-    expected = _expected_shapes(cfg)
-    if dims != expected:
+    if dims != _expected_shapes(cfg):
         raise CorruptCheckpoint(f"{path}: parameter shapes {dims} do not match config")
     offset = 12 + header_len
-    arrays = []
-    for shape in dims:
-        count = int(np.prod(shape))
-        end = offset + 8 * count
-        if end > len(data):
-            raise CorruptCheckpoint(f"{path}: truncated parameter block")
-        arrays.append(np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy())
-        offset = end
-    if offset != len(data):
-        raise CorruptCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
-    n = len(cfg.hidden_dims)
-    return GcnModel(
-        weights=tuple(arrays[2 * i] for i in range(n)),
-        biases=tuple(arrays[2 * i + 1] for i in range(n)),
-        fc_weight=arrays[2 * n],
-        fc_bias=arrays[2 * n + 1],
-        config=cfg,
-    )
+    count = sum(math.prod(shape) for shape in dims)
+    end = offset + 8 * count
+    if end > len(data):
+        raise CorruptCheckpoint(f"{path}: truncated parameter block")
+    if end != len(data):
+        raise CorruptCheckpoint(f"{path}: {len(data) - end} trailing bytes")
+    vector = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+    return GcnModel(*_unflatten(vector, dims), config=cfg)
 
 
 def checkpoint_header(path: str | Path) -> dict:

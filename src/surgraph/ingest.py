@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -226,6 +228,24 @@ def mask_to_bytes(mask: SegmentationMask) -> bytes:
 
 def write_mask(mask: SegmentationMask, path: str | Path) -> None:
     Path(path).write_bytes(mask_to_bytes(mask))
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside ``path``; on success it replaces ``path``.
+
+    If the body raises, the temporary file is removed and ``path`` keeps
+    its earlier contents, or stays absent.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- label maps ---------------------------------------------------------------

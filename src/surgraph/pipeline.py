@@ -39,7 +39,6 @@ from .gcn import (
     AdamHyper,
     GcnConfig,
     GcnModel,
-    add_gradients,
     adam_step,
     forward_prepared,
     init_adam_state,
@@ -48,13 +47,13 @@ from .gcn import (
     loss_and_gradients_prepared,
     normalize_adjacency,
     save_checkpoint,
-    scale_gradients,
     zeros_like_gradients,
 )
 from .ingest import (
     DatasetManifest,
     EmbeddingTable,
     VideoEntry,
+    atomic_write,
     list_mask_files,
     load_embeddings,
     load_mask,
@@ -302,9 +301,12 @@ def train(
     )
     hyper = AdamHyper(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     state = init_adam_state(model)
+    # One buffer for every sample's gradient and one for every batch's mean
+    grads, acc = zeros_like_gradients(model), zeros_like_gradients(model)
+    total = acc.vector
     rng = np.random.default_rng(cfg.seed)
 
-    best_model = model
+    best = None  # the best epoch's parameters; adam_step updates the model in place
     best_val = -1.0
     stale = 0
     history: list[dict] = []
@@ -314,11 +316,11 @@ def train(
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            acc = zeros_like_gradients(model)
+            total.fill(0.0)
             for idx in batch:
                 sample = train_samples[idx]
-                loss, grads = loss_and_gradients_prepared(
-                    model, sample.x, sample.adjacency, sample.label
+                loss, _ = loss_and_gradients_prepared(
+                    model, sample.x, sample.adjacency, sample.label, out=grads
                 )
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
@@ -326,8 +328,8 @@ def train(
                         f"frame {sample.frame_index}: loss {loss}"
                     )
                 losses.append(loss)
-                acc = add_gradients(acc, grads)
-            acc = scale_gradients(acc, 1.0 / len(batch))
+                total += grads.vector
+            total *= 1.0 / len(batch)
             model, state = adam_step(model, acc, state, hyper)
 
         record = {"epoch": epoch, "train_loss": float(np.mean(losses))}
@@ -337,7 +339,7 @@ def train(
             record["val_macro_f1"] = val_metrics.macro_f1
             if val_metrics.accuracy > best_val:
                 best_val = val_metrics.accuracy
-                best_model = model
+                best = model.to_vector()
                 stale = 0
             else:
                 stale += 1
@@ -351,12 +353,12 @@ def train(
         if val_samples and stale >= cfg.patience:
             break
 
-    if not val_samples:
-        best_model = model
-        train_metrics = evaluate(model, train_samples)
-        history[-1]["train_accuracy"] = train_metrics.accuracy
-        history[-1]["train_macro_f1"] = train_metrics.macro_f1
-    return best_model, history
+    if val_samples:
+        return model.with_vector(best), history
+    train_metrics = evaluate(model, train_samples)
+    history[-1]["train_accuracy"] = train_metrics.accuracy
+    history[-1]["train_macro_f1"] = train_metrics.macro_f1
+    return model, history
 
 
 def evaluate(model: GcnModel, samples: list[GraphSample]) -> Metrics:
@@ -377,7 +379,10 @@ def predict(model: GcnModel, sample: GraphSample) -> int:
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(history, indent=2) + "\n")
+    """JSON history; a failed write leaves an earlier file at ``path`` as it was."""
+    text = json.dumps(history, indent=2) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 # --- ablation ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
+from .errors import DuplicateEntry, EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
 from .ingest import EmbeddingTable, SegmentationMask
 
 SPATIAL_DIM = 16
@@ -324,7 +324,7 @@ def graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> SceneGraph:
         cfg = FeatureConfig(num_classes=data["d"], use_class=True)
     return SceneGraph(
         **node_arrays_from_json(data),
-        edge_index=edge_index_from_json(data["edges"]),
+        edge_index=edge_index_from_json(data["edges"], len(data["nodes"]), data["frame"]),
         config=cfg,
         frame_index=data["frame"],
     )
@@ -348,9 +348,30 @@ def node_arrays_from_json(data: dict) -> dict[str, np.ndarray]:
     }
 
 
-def edge_index_from_json(edges: list) -> np.ndarray:
-    """E x 2 int64 array of the (i, j) ends of JSON edges."""
-    return np.array([e[:2] for e in edges], dtype=np.int64).reshape(len(edges), 2)
+def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray:
+    """E x 2 int64 array of the (i, j) ends of JSON edges, checked.
+
+    Raises OutOfRange for an end outside the graph's ``node_count`` nodes
+    and DuplicateEntry for a self-loop or a pair given twice in either
+    order; both name the graph's ``frame``.
+    """
+    ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(len(edges), 2)
+    where = f"in the graph of frame {frame}"
+    outside = ((ends < 0) | (ends >= node_count)).any(axis=1)
+    if outside.any():
+        i, j = ends[np.argmax(outside)]
+        raise OutOfRange(f"edge ({i}, {j}) {where} ends outside its {node_count} nodes")
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    if (lo == hi).any():
+        i = lo[np.argmax(lo == hi)]
+        raise DuplicateEntry(f"self-loop ({i}, {i}) {where}")
+    codes = lo * node_count + hi
+    order = np.argsort(codes, kind="stable")
+    repeated = np.diff(codes[order]) == 0
+    if repeated.any():
+        i, j = ends[order[np.argmax(repeated) + 1]]
+        raise DuplicateEntry(f"adjacency entry ({i}, {j}) given twice {where}")
+    return ends
 
 
 def write_graph_json(graph: SceneGraph, path: str | Path) -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_mask, stripe_mask
 from test_scene_graph import assert_plain_json
 
-from surgraph.errors import EmptyMask, EmptyWindow, OutOfRange
+from surgraph.errors import DuplicateEntry, EmptyMask, EmptyWindow, OutOfRange
 from surgraph.dynamic_graph import (
     EDGE_SPATIAL,
     EDGE_TEMPORAL,
@@ -413,3 +413,14 @@ def test_json_rejects_unknown_edge_kind():
     data["edges"][0][2] = "diagonal"
     with pytest.raises(ValueError):
         dynamic_graph_from_json(data, CFG)
+
+
+def test_json_rejects_bad_edges():
+    data = dynamic_graph_to_json(_window([FRAME_07, FRAME_0, FRAME_07]))
+    i, j, kind = data["edges"][0]
+    reversed_pair = dict(data, edges=data["edges"] + [[j, i, kind]])
+    with pytest.raises(DuplicateEntry, match=f"graph of frame {data['label_frame']}"):
+        dynamic_graph_from_json(reversed_pair, CFG)
+    outside = dict(data, edges=data["edges"] + [[0, len(data["nodes"]), "temporal"]])
+    with pytest.raises(OutOfRange, match=f"graph of frame {data['label_frame']}"):
+        dynamic_graph_from_json(outside, CFG)

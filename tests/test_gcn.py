@@ -18,6 +18,8 @@ from surgraph.errors import (
 from surgraph.gcn import (
     AdamHyper,
     GcnConfig,
+    GcnModel,
+    Gradients,
     adam_step,
     backward,
     forward,
@@ -28,10 +30,12 @@ from surgraph.gcn import (
     load_checkpoint,
     loss_and_edge_gradient,
     loss_and_gradients,
+    loss_and_gradients_prepared,
     normalize_adjacency,
     save_checkpoint,
     checkpoint_header,
     checkpoint_step,
+    zeros_like_gradients,
 )
 from surgraph.numerics import DENSE_NODE_LIMIT, grad_check, softmax
 
@@ -371,10 +375,11 @@ def test_adam_first_step_matches_scalar_oracle():
     g = _random_graph(rng, 5, 5)
     _, grads = loss_and_gradients(model, g, 0)
     hyper = AdamHyper(lr=0.01)
+    before = model.to_vector()  # the step updates the model in place
     new_model, _ = adam_step(model, grads, state, hyper)
     gvec = grads.to_vector()
     # bias correction at t=1 collapses the update to -lr * g / (|g| + eps)
-    expected = model.to_vector() - hyper.lr * gvec / (np.abs(gvec) + hyper.eps)
+    expected = before - hyper.lr * gvec / (np.abs(gvec) + hyper.eps)
     np.testing.assert_allclose(new_model.to_vector(), expected, atol=1e-12)
 
 
@@ -393,6 +398,187 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
+# --- the optimizer on flat buffers against the per-array code it replaced ----------
+# _RefArrays, _RefAdamState, _ref_add_gradients, _ref_scale_gradients and
+# _ref_adam_step are the per-array Gradients, AdamState, add_gradients,
+# scale_gradients and adam_step that training used before the parameters,
+# gradients and moments moved into flat buffers.
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefArrays:
+    weights: tuple
+    biases: tuple
+    fc_weight: np.ndarray
+    fc_bias: np.ndarray
+
+    def parameter_arrays(self):
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.extend([w, b])
+        out.extend([self.fc_weight, self.fc_bias])
+        return out
+
+    def to_vector(self):
+        return np.concatenate([a.ravel() for a in self.parameter_arrays()])
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefAdamState:
+    m: _RefArrays
+    v: _RefArrays
+    t: int = 0
+
+
+def _ref_zeros(model):
+    return _RefArrays(
+        weights=tuple(np.zeros_like(w) for w in model.weights),
+        biases=tuple(np.zeros_like(b) for b in model.biases),
+        fc_weight=np.zeros_like(model.fc_weight),
+        fc_bias=np.zeros_like(model.fc_bias),
+    )
+
+
+def _ref_add_gradients(a, b):
+    return _RefArrays(
+        weights=tuple(x + y for x, y in zip(a.weights, b.weights)),
+        biases=tuple(x + y for x, y in zip(a.biases, b.biases)),
+        fc_weight=a.fc_weight + b.fc_weight,
+        fc_bias=a.fc_bias + b.fc_bias,
+    )
+
+
+def _ref_scale_gradients(g, s):
+    return _RefArrays(
+        weights=tuple(w * s for w in g.weights),
+        biases=tuple(b * s for b in g.biases),
+        fc_weight=g.fc_weight * s,
+        fc_bias=g.fc_bias * s,
+    )
+
+
+def _ref_adam_step(model, grads, state, hyper=None):
+    hyper = hyper or AdamHyper()
+    t = state.t + 1
+    new_params, new_m, new_v = [], [], []
+    params = model.parameter_arrays()
+    gs = grads.parameter_arrays()
+    ms = state.m.parameter_arrays()
+    vs = state.v.parameter_arrays()
+    for p, g, m, v in zip(params, gs, ms, vs):
+        if p.shape != g.shape:
+            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        m2 = hyper.beta1 * m + (1.0 - hyper.beta1) * g
+        v2 = hyper.beta2 * v + (1.0 - hyper.beta2) * g * g
+        m_hat = m2 / (1.0 - hyper.beta1**t)
+        v_hat = v2 / (1.0 - hyper.beta2**t)
+        new_params.append(p - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps))
+        new_m.append(m2)
+        new_v.append(v2)
+
+    n = len(model.weights)
+
+    def unpack(arrays):
+        return (
+            tuple(arrays[2 * i] for i in range(n)),
+            tuple(arrays[2 * i + 1] for i in range(n)),
+            arrays[2 * n],
+            arrays[2 * n + 1],
+        )
+
+    w, b, fw, fb = unpack(new_params)
+    new_model = GcnModel(weights=w, biases=b, fc_weight=fw, fc_bias=fb, config=model.config)
+    mw, mb, mfw, mfb = unpack(new_m)
+    vw, vb, vfw, vfb = unpack(new_v)
+    new_state = _RefAdamState(
+        m=_RefArrays(mw, mb, mfw, mfb), v=_RefArrays(vw, vb, vfw, vfb), t=t
+    )
+    return new_model, new_state
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_flat_adam_matches_per_array_reference_bitwise(batch_size):
+    # 7 samples: at batch size 3 the last batch of every epoch holds one
+    rng = np.random.default_rng(21)
+    data = [(_random_graph(rng, int(rng.integers(3, 9)), 5), int(rng.integers(0, 3))) for _ in range(7)]
+    hyper = AdamHyper(lr=0.05)
+    model = init_model(SMALL_CFG)
+    state = init_adam_state(model)
+    acc = zeros_like_gradients(model)
+    total = acc.vector
+    ref_model = model.with_vector(model.to_vector())
+    ref_state = _RefAdamState(m=_ref_zeros(ref_model), v=_ref_zeros(ref_model))
+    steps_per_epoch = -(-len(data) // batch_size)
+    for epoch in range(4):
+        for start in range(0, len(data), batch_size):
+            batch = data[start : start + batch_size]
+            total.fill(0.0)
+            ref_acc = _ref_zeros(ref_model)
+            for graph, label in batch:
+                total += loss_and_gradients(model, graph, label)[1].vector
+                ref_acc = _ref_add_gradients(ref_acc, loss_and_gradients(ref_model, graph, label)[1])
+            total *= 1.0 / len(batch)
+            ref_acc = _ref_scale_gradients(ref_acc, 1.0 / len(batch))
+            assert np.array_equal(total, ref_acc.to_vector())
+            stepped, state = adam_step(model, acc, state, hyper)
+            assert stepped is model
+            ref_model, ref_state = _ref_adam_step(ref_model, ref_acc, ref_state, hyper)
+        assert state.t == ref_state.t == steps_per_epoch * (epoch + 1)
+        assert np.array_equal(model.vector, ref_model.to_vector())
+        assert np.array_equal(state.m, ref_state.m.to_vector())
+        assert np.array_equal(state.v, ref_state.v.to_vector())
+    # the training moved the parameters: the comparison is not of two initial models
+    assert not np.array_equal(model.vector, init_model(SMALL_CFG).vector)
+
+
+def test_model_arrays_are_views_of_its_vector():
+    model = init_model(SMALL_CFG)
+    arrays = model.parameter_arrays()
+    assert all(np.shares_memory(a, model.vector) for a in arrays)
+    np.testing.assert_array_equal(model.vector, np.concatenate([a.ravel() for a in arrays]))
+    # with_vector and dataclasses.replace copy: stepping the original leaves them alone
+    copy = model.with_vector(model.vector)
+    boosted = dataclasses.replace(model, fc_weight=model.fc_weight * 2.0)
+    assert not np.shares_memory(copy.vector, model.vector)
+    assert not np.shares_memory(boosted.vector, model.vector)
+    assert np.shares_memory(boosted.fc_weight, boosted.vector)
+    np.testing.assert_array_equal(boosted.fc_weight, 2.0 * model.fc_weight)
+    _, grads = loss_and_gradients(model, _random_graph(np.random.default_rng(2), 5, 5), 1)
+    before = copy.to_vector()
+    adam_step(model, grads, init_adam_state(model))
+    assert np.array_equal(copy.vector, before)
+    assert not np.array_equal(model.vector, before)
+    with pytest.raises(ShapeMismatch):
+        model.with_vector(model.vector[:-1])
+
+
+@pytest.mark.parametrize("n", [5, DENSE_NODE_LIMIT + 6])
+def test_gradients_written_in_place_match_allocated_bitwise(n):
+    # the weight, bias and head gradients as the backward pass allocated them
+    # before it wrote into one flat buffer
+    from surgraph.gcn import _backward_layers, _forward_cached, _head_backward
+
+    rng = np.random.default_rng(30 + n)
+    model = init_model(GcnConfig(input_dim=9, num_classes=5, seed=3))
+    g = _random_graph(rng, n, 9, p_edge=min(0.4, 6.0 / n))
+    anorm = normalize_adjacency(g)
+    _, probs, (cache, h_last, pooled, _) = _forward_cached(model, g.x, anorm)
+    _, dlogits, dh = _head_backward(model, probs, 2, h_last.shape[0])
+    expected = [None] * (2 * len(model.weights))
+    for l, dz, dm in _backward_layers(model, anorm, cache, dh):
+        expected[2 * l] = cache[l][0].T @ dm
+        expected[2 * l + 1] = dz.sum(axis=0)
+    expected += [np.outer(pooled, dlogits), dlogits.copy()]
+    expected = np.concatenate([a.ravel() for a in expected])
+    _, grads = loss_and_gradients(model, g, 2)
+    assert np.array_equal(grads.vector, expected)
+    # a reused buffer has every entry overwritten
+    dirty = Gradients(np.full_like(model.vector, np.nan), model.shapes)
+    _, again = loss_and_gradients_prepared(model, g.x, anorm, 2, out=dirty)
+    assert again is dirty
+    assert np.array_equal(dirty.vector, expected)
+
+
 def test_checkpoint_round_trip(tmp_path):
     model = init_model(SMALL_CFG)
     path = tmp_path / "m.ckpt"
@@ -407,6 +593,17 @@ def test_checkpoint_round_trip(tmp_path):
     again = tmp_path / "m2.ckpt"
     save_checkpoint(loaded, again, step=17, extra={"note": "x"})
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_earlier_file(tmp_path, full_disk):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(SMALL_CFG), path, step=1)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError):
+        save_checkpoint(init_model(dataclasses.replace(SMALL_CFG, seed=5)), path, step=2)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
 def test_checkpoint_truncated(tmp_path):

@@ -80,30 +80,6 @@ SMALL_TRAIN = TrainConfig(
 )
 
 
-@pytest.fixture(scope="module")
-def tiny_manifest(tmp_path_factory):
-    out = tmp_path_factory.mktemp("tinyset")
-    cfgs = []
-    for i in range(2):
-        cfgs.append(
-            preset_distinct_tools(
-                n_frames=40, phase_frames=10, seed=i, video_id=f"train{i}", split="train"
-            )
-        )
-    cfgs.append(
-        preset_distinct_tools(
-            n_frames=40, phase_frames=10, seed=7, video_id="val0", split="val"
-        )
-    )
-    cfgs.append(
-        preset_distinct_tools(
-            n_frames=40, phase_frames=10, seed=9, video_id="test0", split="test"
-        )
-    )
-    manifest_path, _ = generate_dataset(out, cfgs, fps=1)
-    return load_manifest(manifest_path)
-
-
 def test_build_samples_one_per_frame(tiny_manifest):
     tr, _, _ = split_dataset(tiny_manifest)
     samples = build_samples(tr[:1], SMALL_TRAIN)
@@ -194,6 +170,73 @@ def test_write_history(tmp_path):
     path = tmp_path / "history.json"
     write_history([{"epoch": 0, "train_loss": 1.5}], path)
     assert json.loads(path.read_text()) == [{"epoch": 0, "train_loss": 1.5}]
+
+
+def test_failed_history_write_keeps_earlier_file(tmp_path, full_disk):
+    path = tmp_path / "history.json"
+    write_history([{"epoch": 0, "train_loss": 1.5}], path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError):
+        write_history([{"epoch": e, "train_loss": 1.0 / (e + 1)} for e in range(5)], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_train_matches_per_array_reference_loop(tiny_manifest):
+    # the batch sum, 1/B scaling and Adam step on flat buffers against the
+    # per-array loop they replaced; with no val split the final model returns
+    from test_gcn import (
+        _RefAdamState,
+        _ref_adam_step,
+        _ref_add_gradients,
+        _ref_scale_gradients,
+        _ref_zeros,
+    )
+
+    from surgraph.gcn import AdamHyper, GcnConfig, init_model, loss_and_gradients_prepared
+
+    manifest = dataclasses.replace(
+        tiny_manifest, videos=tuple(v for v in tiny_manifest.videos if v.split == "train")
+    )
+    cfg = dataclasses.replace(SMALL_TRAIN, epochs=3, batch_size=12)  # 80 samples: last batch 8
+    model, history = train(cfg, manifest)
+
+    samples = build_samples(list(manifest.videos), cfg)
+    ref = init_model(GcnConfig(samples[0].feature_dim, cfg.hidden_dims, cfg.num_classes, cfg.seed))
+    state = _RefAdamState(m=_ref_zeros(ref), v=_ref_zeros(ref))
+    hyper = AdamHyper(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(samples))
+        epoch_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            acc = _ref_zeros(ref)
+            for idx in batch:
+                s = samples[idx]
+                loss, grads = loss_and_gradients_prepared(ref, s.x, s.adjacency, s.label)
+                epoch_losses.append(loss)
+                acc = _ref_add_gradients(acc, grads)
+            ref, state = _ref_adam_step(ref, _ref_scale_gradients(acc, 1.0 / len(batch)), state, hyper)
+        losses.append(float(np.mean(epoch_losses)))
+    assert [h["train_loss"] for h in history] == losses
+    assert np.array_equal(model.vector, ref.to_vector())
+
+
+def test_train_returns_the_best_epoch_not_the_last(tiny_manifest):
+    # adam_step updates the model in place, so train must copy the parameters
+    # of the best validation epoch rather than keep a reference to the model
+    cfg = dataclasses.replace(SMALL_TRAIN, epochs=8, lr=0.05)
+    model, history = train(cfg, tiny_manifest)
+    accuracies = [h["val_accuracy"] for h in history]
+    best = accuracies.index(max(accuracies))
+    assert best < len(history) - 1
+    at_best, _ = train(dataclasses.replace(cfg, epochs=best + 1), tiny_manifest)
+    assert np.array_equal(model.vector, at_best.vector)
+    _, val_videos, _ = split_dataset(tiny_manifest)
+    assert evaluate(model, build_samples(val_videos, cfg)).accuracy == max(accuracies)
 
 
 ABLATE_BASE = TrainConfig(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from surgraph.errors import EmptyMask, OutOfRange
+from surgraph.errors import DuplicateEntry, EmptyMask, OutOfRange
 from surgraph.ingest import EmbeddingTable, SegmentationMask
 from surgraph.scene_graph import (
     SEGMENT_MODE_COMPONENT,
@@ -256,6 +256,26 @@ def test_json_round_trip():
     np.testing.assert_array_equal(graph.feature_matrix(), again.feature_matrix())
     assert graph.edges == again.edges
     assert [n.class_id for n in again.nodes] == [0, 4, 7]
+
+
+@pytest.mark.parametrize(
+    "extra, error, message",
+    [
+        (lambda i, j: [1, 1], DuplicateEntry, "self-loop (1, 1) in the graph of frame 12"),
+        (lambda i, j: [j, i], DuplicateEntry, "given twice in the graph of frame 12"),
+        (lambda i, j: [i, j], DuplicateEntry, "given twice in the graph of frame 12"),
+        (lambda i, j: [0, 3], OutOfRange, "edge (0, 3) in the graph of frame 12 ends outside its 3 nodes"),
+        (lambda i, j: [-1, 0], OutOfRange, "edge (-1, 0) in the graph of frame 12 ends outside its 3 nodes"),
+    ],
+    ids=["self-loop", "reversed", "repeated", "past-last-node", "negative"],
+)
+def test_json_rejects_bad_edges(extra, error, message):
+    cfg = FeatureConfig(num_classes=17, use_spatial=True, use_size=True, min_segment_pixels=1)
+    data = graph_to_json(build_static_graph(_mask(SMALL, frame_index=12), cfg=cfg))
+    data["edges"].append(extra(*data["edges"][0]))
+    with pytest.raises(error) as caught:
+        graph_from_json(data, cfg)
+    assert message in str(caught.value)
 
 
 # --- array layout against the per-node reference ------------------------------------
