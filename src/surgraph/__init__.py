@@ -14,6 +14,7 @@ from . import errors
 from .dynamic_graph import (
     DynamicGraph,
     WindowConfig,
+    WindowText,
     build_dynamic_graph,
     context_seconds,
     dynamic_graph_from_json,

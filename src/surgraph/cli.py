@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .dynamic_graph import (
     WindowConfig,
+    WindowText,
     build_dynamic_graph,
     context_seconds,
     dynamic_graph_from_json,
@@ -83,15 +84,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs:
-    """Tracks artifacts a command creates so failures can undo them."""
+    """Tracks artifacts a command creates so failures can undo them.
+
+    Only paths that did not exist when registered are recorded, so a failure
+    never deletes a file the user already had.
+    """
 
     def __init__(self):
         self.files: list[Path] = []
         self.dirs: list[Path] = []
 
     def file(self, path: Path) -> Path:
-        self.files.append(Path(path))
-        return Path(path)
+        path = Path(path)
+        if not path.exists():
+            self.files.append(path)
+        return path
 
     def directory(self, path: Path) -> Path:
         path = Path(path)
@@ -227,19 +234,24 @@ def cmd_build_graphs(args) -> int:
                     static[frame] = build_static_graph(mask, table, feature_cfg)
                 except EmptyMask:
                     skipped.append(f"{video.video_id}/{frame}")
+            # Renders each frame's node text once for all the windows that hold it.
+            node_text = WindowText(static)
             for frame in sorted(static):
                 out_path = outputs.file(out_dir / f"{video.video_id}_{frame:06d}.json")
                 if args.mode == "static":
-                    data = graph_to_json(static[frame])
+                    text = json.dumps(graph_to_json(static[frame]))
                 else:
                     wanted = select_window(frame, args.window, args.dilation)
                     graphs = [static[i] for i in wanted if i in static]
                     dyn = build_dynamic_graph(graphs, window_cfg)
-                    data = dynamic_graph_to_json(dyn)
+                    data = dynamic_graph_to_json(dyn, nodes=False)
                     data["context_s"] = context_seconds(
                         args.window, args.dilation, manifest.fps
                     )
-                out_path.write_text(json.dumps(data) + "\n")
+                    text = json.dumps(data).replace(
+                        '"nodes": []', '"nodes": ' + node_text.nodes(dyn), 1
+                    )
+                out_path.write_text(text + "\n")
                 count += 1
         warn_skipped_frames(skipped, feature_cfg)
         print(f"wrote {count} {args.mode} graph files to {out_dir}")

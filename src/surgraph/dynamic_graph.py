@@ -226,7 +226,14 @@ def _key_matches(key, order, sources, offset):
 
 # --- JSON export ----------------------------------------------------------------
 
-def dynamic_graph_to_json(graph: DynamicGraph) -> dict:
+def dynamic_graph_to_json(graph: DynamicGraph, nodes: bool = True) -> dict:
+    """The graph as a dict of plain Python values, for ``json.dumps``.
+
+    With ``nodes=False`` the ``"nodes"`` list is left empty: a caller that
+    renders the node text itself with ``WindowText`` splices it in place of
+    ``"nodes": []`` in the dumped text. Every value before ``"nodes"`` is an
+    int or a list of ints, so the first such occurrence is the key itself.
+    """
     return {
         "frame": graph.label_frame_index,
         "d": graph.feature_dim,
@@ -243,12 +250,97 @@ def dynamic_graph_to_json(graph: DynamicGraph) -> dict:
                 graph.sizes.tolist(),
                 graph.x.tolist(),
             )
-        ],
+        ] if nodes else [],
         "edges": [
             [i, j, EDGE_KINDS[k]]
             for (i, j), k in zip(graph.edge_index.tolist(), graph.edge_kinds.tolist())
         ],
     }
+
+
+def _items(values: list) -> str:
+    """The items of a JSON list exactly as ``json.dumps`` prints them, unbracketed."""
+    return json.dumps(values)[1:-1]
+
+
+class WindowText:
+    """JSON text of the ``nodes`` list of dynamic graphs built from one video.
+
+    A frame's static node fields, and its features outside the temporal
+    block, are the same in every window that holds it; the temporal block
+    depends only on the node's step and the window length. So each static
+    node's text is rendered once, in pieces around its step and temporal
+    block, and each temporal block once per (step, window length). Every
+    piece comes from ``json.dumps``, so ``nodes(graph)`` equals the text
+    ``json.dumps`` prints for ``dynamic_graph_to_json(graph)["nodes"]``.
+
+    ``static`` maps frame index to the static graph the windows were built
+    from. Keep one instance per video: it holds the text of every frame it
+    has rendered.
+    """
+
+    def __init__(self, static: dict[int, SceneGraph]):
+        self._static = static
+        self._frames: dict[int, list[tuple[str, str, str]]] = {}
+        self._steps: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def nodes(self, graph: DynamicGraph) -> str:
+        parts = []
+        for t, frame in enumerate(graph.frame_indices):
+            step, temporal = self._step(t, graph.window)
+            if not graph.config.use_temporal:
+                temporal = ""
+            parts.extend(
+                head + step + middle + temporal + tail
+                for head, middle, tail in self._frame(frame)
+            )
+        if len(parts) != graph.x.shape[0]:
+            raise ShapeMismatch(
+                f"window of frame {graph.label_frame_index} has {graph.x.shape[0]} nodes, "
+                f"its static graphs {len(parts)}"
+            )
+        return "[" + ", ".join(parts) + "]"
+
+    def _step(self, t: int, steps: int) -> tuple[str, str]:
+        """The text of step t and the items of its temporal block."""
+        key = (t, steps)
+        if key not in self._steps:
+            self._steps[key] = (json.dumps(t), _items(_temporal_table(steps)[t].tolist()))
+        return self._steps[key]
+
+    def _frame(self, frame: int) -> list[tuple[str, str, str]]:
+        """Per node: the text before its step, from its step to its temporal
+        block, and after that block."""
+        pieces = self._frames.get(frame)
+        if pieces is None:
+            graph = self._static[frame]
+            use_temporal = graph.config.use_temporal
+            if use_temporal:
+                cut = graph.config.block_slices()["temporal"]
+                before, after = graph.x[:, : cut.start], graph.x[:, cut.stop :]
+            else:
+                before, after = graph.x, graph.x[:, :0]
+            pieces = self._frames[frame] = [
+                _node_pieces(c, centroid, s, b, a, use_temporal)
+                for c, centroid, s, b, a in zip(
+                    graph.class_ids.tolist(),
+                    graph.centroids.tolist(),
+                    graph.sizes.tolist(),
+                    before.tolist(),
+                    after.tolist(),
+                )
+            ]
+        return pieces
+
+
+def _node_pieces(c, centroid, size, before, after, temporal: bool) -> tuple[str, str, str]:
+    """``WindowText``'s three pieces of one static node; feature pieces are
+    joined with ", " and an empty one is skipped."""
+    head = '{"class": ' + json.dumps(c) + ', "t": '
+    middle = f', "centroid": {json.dumps(centroid)}, "size": {json.dumps(size)}, "features": ['
+    middle += _items(before) + (", " if temporal and before else "")
+    tail = (", " + _items(after) if after else "") + "]}"
+    return head, middle, tail
 
 
 def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> DynamicGraph:

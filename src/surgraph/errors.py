@@ -47,6 +47,11 @@ class MixedDimensions(SurgraphError):
     """Embedding vectors in one table have different lengths."""
 
 
+class NonFiniteEmbedding(SurgraphError):
+    """An embedding vector holds NaN or infinity; the message names the
+    file, the frame and the segment key."""
+
+
 class MissingFrameKey(SurgraphError):
     """A non-empty embedding table has no entry for a requested frame."""
 

@@ -33,6 +33,7 @@ from .errors import (
     MissingLabel,
     MixedDimensions,
     NonContiguousIds,
+    NonFiniteEmbedding,
     NonMonotonicFrames,
     OversizeDimension,
     TrailingBytes,
@@ -326,7 +327,12 @@ def write_phase_labels(track: PhaseTrack, path: str | Path) -> None:
 # --- embeddings -----------------------------------------------------------------
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load per-frame segment embeddings; all vectors must share one length."""
+    """Load per-frame segment embeddings; all vectors must share one length.
+
+    Raises MixedDimensions for vectors of different lengths and
+    NonFiniteEmbedding for a NaN or infinite entry, which ``json.loads``
+    would otherwise accept.
+    """
     raw = json.loads(Path(path).read_text())
     frames: dict[int, dict[str, np.ndarray]] = {}
     dimension: int | None = None
@@ -340,6 +346,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 raise MixedDimensions(
                     f"vector for {segment_key}@{frame_key} has length "
                     f"{vec.shape[0]}, expected {dimension}"
+                )
+            if not np.isfinite(vec).all():
+                raise NonFiniteEmbedding(
+                    f"{path}: embedding of frame {frame_key}, segment {segment_key} "
+                    "holds a non-finite value"
                 )
             table[segment_key] = vec
         frames[int(frame_key)] = table

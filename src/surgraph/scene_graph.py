@@ -393,21 +393,22 @@ def _segments_with_index_image(
     segments: list[Segment] = []
     structure = _FOUR_CONNECTED if cfg.connectivity == 4 else _EIGHT_CONNECTED
 
-    for class_id in np.unique(ids):
+    # A region below the threshold cannot yield a segment, so only classes
+    # and components with enough pixels are visited at all.
+    threshold = max(cfg.min_segment_pixels, 1)
+    class_counts = np.bincount(ids.ravel())
+    for class_id in np.flatnonzero(class_counts >= threshold).tolist():
         class_mask = ids == class_id
         if cfg.segment_mode == SEGMENT_MODE_CLASS:
-            regions = [class_mask]
+            regions = [(class_mask, int(class_counts[class_id]))]
         else:
-            labelled, count = ndimage.label(class_mask, structure=structure)
-            regions = [labelled == lab for lab in range(1, count + 1)]
-        component = 0
-        for region in regions:
-            count = int(region.sum())
-            if count < cfg.min_segment_pixels:
-                continue
-            segments.append(_segment_from_region(region, int(class_id), component, mask, count))
+            labelled, _ = ndimage.label(class_mask, structure=structure)
+            sizes = np.bincount(labelled.ravel())
+            kept = np.flatnonzero(sizes[1:] >= threshold) + 1  # label 0 is background
+            regions = [(labelled == lab, int(sizes[lab])) for lab in kept.tolist()]
+        for component, (region, count) in enumerate(regions):
+            segments.append(_segment_from_region(region, class_id, component, mask, count))
             index_image[region] = len(segments) - 1
-            component += 1
     return segments, index_image
 
 

@@ -93,3 +93,38 @@ def test_train_calls_through_the_traced_names(tiny_manifest, monkeypatch):
     assert len(history) == 3
     assert calls["loss_and_gradients_prepared"] == 3 * samples
     assert calls["adam_step"] == 3 * math.ceil(samples / cfg.batch_size)
+
+
+def test_dynamic_export_calls_through_the_traced_names(tiny_manifest, tmp_path, monkeypatch):
+    # cli.export_json_ms pairs one dynamic_graph_to_json span with one
+    # json.dumps span per written file, in call order
+    from surgraph.ingest import write_manifest
+
+    calls = {"dynamic_graph_to_json": 0, "dumps": 0}
+    to_json = surgraph.cli.dynamic_graph_to_json
+
+    def counted_to_json(*args, **kwargs):
+        calls["dynamic_graph_to_json"] += 1
+        return to_json(*args, **kwargs)
+
+    class CountedJson:
+        def dumps(self, *args, **kwargs):
+            calls["dumps"] += 1
+            return json.dumps(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+    monkeypatch.setattr(surgraph.cli, "dynamic_graph_to_json", counted_to_json)
+    monkeypatch.setattr(surgraph.cli, "json", CountedJson())
+    write_manifest(tiny_manifest, tmp_path / "manifest.json")
+    out = tmp_path / "graphs"
+    code = surgraph.cli.run(
+        ["build-graphs", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+         "--mode", "dynamic", "--window", "4", "--dilation", "2",
+         "--features", "class,spatial,size,temporal", "--split", "test"]
+    )
+    assert code == 0
+    files = len(list(out.glob("*.json")))
+    assert files == 40
+    assert calls == {"dynamic_graph_to_json": files, "dumps": files}

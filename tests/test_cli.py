@@ -358,3 +358,107 @@ def test_build_graphs_skips_empty_frame(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "skipped 1 frame(s) with no segment >= 10 px: test0/5"
     ]
+
+
+def test_build_graphs_dynamic_files_match_dict_path(dataset, tmp_path):
+    # every file equals json.dumps of the full dict, which export wrote before
+    # it spliced in cached node text
+    from surgraph.dynamic_graph import (
+        WindowConfig,
+        build_dynamic_graph,
+        dynamic_graph_to_json,
+        select_window,
+    )
+    from surgraph.ingest import load_embeddings
+    from surgraph.scene_graph import build_static_graph
+
+    out = tmp_path / "graphs"
+    code = run(
+        ["build-graphs", "--manifest", str(dataset), "--out", str(out), "--mode", "dynamic",
+         "--window", "4", "--dilation", "2", "--features", "class,spatial,size,temporal",
+         "--segment-mode", "per-component", "--min-segment-pixels", "3"]
+    )
+    assert code == 0
+    cfg = FeatureConfig(num_classes=17, use_spatial=True, use_size=True, use_temporal=True,
+                        segment_mode="per-component", min_segment_pixels=3)
+    manifest = load_manifest(dataset)
+    expected = {}
+    for video in manifest.videos:
+        static = {
+            f: build_static_graph(load_mask(p, frame_index=f), None, cfg)
+            for f, p in list_mask_files(video.mask_dir)
+        }
+        for f in static:
+            graphs = [static[i] for i in select_window(f, 4, 2) if i in static]
+            data = dynamic_graph_to_json(build_dynamic_graph(graphs, WindowConfig(4, 2)))
+            data["context_s"] = 8.0
+            expected[f"{video.video_id}_{f:06d}.json"] = json.dumps(data) + "\n"
+    written = {p.name: p.read_text() for p in out.glob("*.json")}
+    assert written.keys() == expected.keys()
+    assert [n for n in expected if written[n] != expected[n]] == []
+
+
+def _train_argv(manifest, out, seed):
+    return ["train", "--manifest", str(manifest), "--out-checkpoint", str(out / "m.ckpt"),
+            "--history", str(out / "history.json"), "--window", "2", "--dilation", "1",
+            "--epochs", "2", "--batch-size", "16", "--seed", str(seed), "--features", "class",
+            "--num-classes", "17"]
+
+
+def test_failed_train_keeps_earlier_history_and_new_checkpoint(
+    dataset, tmp_path, monkeypatch, full_disk
+):
+    import surgraph.cli
+    from surgraph.gcn import load_checkpoint
+
+    assert run(_train_argv(dataset, tmp_path, seed=0)) == 0
+    history = (tmp_path / "history.json").read_bytes()
+    checkpoint = (tmp_path / "m.ckpt").read_bytes()
+    write_history = surgraph.cli.write_history
+
+    def write_on_a_full_disk(*args):
+        full_disk()
+        return write_history(*args)
+
+    monkeypatch.setattr(surgraph.cli, "write_history", write_on_a_full_disk)
+    assert run(_train_argv(dataset, tmp_path, seed=1)) == 2
+    assert (tmp_path / "history.json").read_bytes() == history
+    # the second run's checkpoint replaced the first one atomically and stays
+    assert (tmp_path / "m.ckpt").read_bytes() != checkpoint
+    load_checkpoint(tmp_path / "m.ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.json", "m.ckpt"]
+
+
+def _manifest_with_nan_embedding(dataset, tmp_path, split):
+    manifest = load_manifest(dataset)
+    video = next(v for v in manifest.videos if v.split == split)
+    table = tmp_path / "embeddings.json"
+    table.write_text('{"0": {"seg_0": [0.5, 1.0]}, "3": {"seg_4": [NaN, 1.0]}}')
+    raw = {"fps": 1, "videos": [
+        {"id": v.video_id, "mask_dir": str(v.mask_dir), "phase_csv": str(v.phase_csv),
+         "split": v.split, **({"embeddings": str(table)} if v is video else {})}
+        for v in manifest.videos
+    ]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(raw))
+    return path, table
+
+
+def test_build_graphs_rejects_non_finite_embedding(dataset, tmp_path, capsys):
+    manifest, table = _manifest_with_nan_embedding(dataset, tmp_path, "test")
+    out = tmp_path / "graphs"
+    code = run(["build-graphs", "--manifest", str(manifest), "--out", str(out),
+                "--mode", "dynamic", "--window", "3", "--features", "class,embedding",
+                "--split", "test"])
+    assert code == 2
+    assert f"{table}: embedding of frame 3, segment seg_4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_non_finite_embedding(dataset, tmp_path, capsys):
+    manifest, table = _manifest_with_nan_embedding(dataset, tmp_path, "train")
+    argv = _train_argv(manifest, tmp_path, seed=0)
+    argv[argv.index("class")] = "class,embedding"
+    assert run(argv) == 2
+    assert f"{table}: embedding of frame 3, segment seg_4" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from conftest import random_mask, stripe_mask
 from test_scene_graph import assert_plain_json
 
-from surgraph.errors import DuplicateEntry, EmptyMask, EmptyWindow, OutOfRange
+from surgraph.errors import DuplicateEntry, EmptyMask, EmptyWindow, OutOfRange, ShapeMismatch
 from surgraph.dynamic_graph import (
     EDGE_SPATIAL,
     EDGE_TEMPORAL,
     DynamicGraph,
     WindowConfig,
+    WindowText,
     build_dynamic_graph,
     context_seconds,
     dynamic_graph_from_json,
@@ -25,7 +26,12 @@ from surgraph.dynamic_graph import (
 from surgraph.gcn import normalize_adjacency
 from surgraph.ingest import SegmentationMask
 from surgraph.numerics import SparseAdjacency
-from surgraph.scene_graph import SEGMENT_MODE_COMPONENT, FeatureConfig, build_static_graph
+from surgraph.scene_graph import (
+    SEGMENT_MODE_COMPONENT,
+    FeatureConfig,
+    SceneGraph,
+    build_static_graph,
+)
 
 
 def _graph(rows, frame_index, cfg):
@@ -424,3 +430,84 @@ def test_json_rejects_bad_edges():
     outside = dict(data, edges=data["edges"] + [[0, len(data["nodes"]), "temporal"]])
     with pytest.raises(OutOfRange, match=f"graph of frame {data['label_frame']}"):
         dynamic_graph_from_json(outside, CFG)
+
+
+# --- cached node text against json.dumps ----------------------------------------------
+
+
+def spliced_json(text: WindowText, dyn: DynamicGraph) -> str:
+    """The file text build-graphs writes, without its context_s and newline."""
+    header = json.dumps(dynamic_graph_to_json(dyn, nodes=False))
+    return header.replace('"nodes": []', '"nodes": ' + text.nodes(dyn), 1)
+
+
+# Values whose text is easy to get wrong: signed zero, exponent forms,
+# subnormals and the non-finite values json.dumps writes as NaN/Infinity.
+AWKWARD = [0.0, -0.0, 1e-05, 1e16, 1e-310, 5e-324, 0.1, -2.5, 1.0, float("nan"), float("inf")]
+values = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _float_array(draw, *shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def video_graphs(draw):
+    """Static graphs of one video with gaps between frames and arbitrary values,
+    including the temporal block a window overwrites."""
+    flags = draw(st.fixed_dictionaries({
+        name: st.booleans()
+        for name in ("use_class", "use_spatial", "use_size", "use_temporal", "use_embedding")
+    }))
+    if not any(flags.values()):
+        flags["use_temporal"] = True
+    cfg = FeatureConfig(num_classes=3, embedding_dim=draw(st.integers(1, 3)), **flags)
+    frames = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+    static = {}
+    for f in sorted(frames):
+        n = draw(st.integers(1, 3))
+        static[f] = SceneGraph(
+            x=_float_array(draw, n, cfg.feature_dim),
+            class_ids=np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))),
+            centroids=_float_array(draw, n, 2),
+            sizes=_float_array(draw, n),
+            component_index=np.zeros(n, dtype=np.int64),
+            edge_index=np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64).reshape(-1, 2),
+            config=cfg,
+            frame_index=f,
+        )
+    return static
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    static=video_graphs(),
+    window=st.integers(1, 5),
+    dilation=st.integers(1, 3),
+    bridge=st.booleans(),
+)
+def test_window_text_equals_json_dumps(static, window, dilation, bridge):
+    text = WindowText(static)
+    wcfg = WindowConfig(window=window, dilation=dilation, bridge_single_gap=bridge)
+    for frame in sorted(static):
+        graphs = [static[i] for i in select_window(frame, window, dilation) if i in static]
+        dyn = build_dynamic_graph(graphs, wcfg)
+        assert spliced_json(text, dyn) == json.dumps(dynamic_graph_to_json(dyn))
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_window_text_equals_json_dumps_on_masks(case):
+    cfg, wcfg, frames = REFERENCE_CASES[case]
+    graphs = _random_graphs(np.random.default_rng(3), frames, cfg)
+    text = WindowText({g.frame_index: g for g in graphs})
+    for end in range(1, len(graphs) + 1):
+        dyn = build_dynamic_graph(graphs[:end], wcfg)
+        assert spliced_json(text, dyn) == json.dumps(dynamic_graph_to_json(dyn))
+
+
+def test_window_text_rejects_other_static_graphs():
+    dyn = _window([FRAME_07, FRAME_0])
+    other = {0: _graph(FRAME_0, 0, CFG), 1: _graph(FRAME_0, 1, CFG)}
+    with pytest.raises(ShapeMismatch, match="has 3 nodes, its static graphs 2"):
+        WindowText(other).nodes(dyn)

@@ -10,6 +10,7 @@ from surgraph.errors import (
     MissingLabel,
     MixedDimensions,
     NonContiguousIds,
+    NonFiniteEmbedding,
     NonMonotonicFrames,
     OversizeDimension,
     SurgraphError,
@@ -185,6 +186,16 @@ def test_embeddings_mixed_dimensions(tmp_path):
     p.write_text('{"0": {"seg_0": [1.0, 2.0], "seg_1": [1.0]}}')
     with pytest.raises(MixedDimensions):
         load_embeddings(p)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_embeddings_non_finite(tmp_path, value):
+    p = tmp_path / "e.json"
+    p.write_text('{"0": {"seg_0": [1.0, 2.0]}, "4": {"seg_3": [0.5, %s]}}' % value)
+    with pytest.raises(NonFiniteEmbedding) as info:
+        load_embeddings(p)
+    assert isinstance(info.value, SurgraphError)
+    assert str(info.value) == f"{p}: embedding of frame 4, segment seg_3 holds a non-finite value"
 
 
 def test_embeddings_missing_frame(tmp_path):

@@ -416,3 +416,73 @@ def test_graph_arrays_are_read_only():
     with pytest.raises(ValueError):
         graph.edge_index[0, 0] = 2
     assert graph.nodes is graph.nodes
+
+
+# --- segment loop against the loop it replaced ----------------------------------------
+
+
+def reference_segments_with_index_image(mask, cfg):
+    """The segment loop before it skipped small classes and components, verbatim."""
+    from surgraph.scene_graph import (
+        SEGMENT_MODE_CLASS,
+        _EIGHT_CONNECTED,
+        _FOUR_CONNECTED,
+        _segment_from_region,
+    )
+
+    ids = mask.class_ids
+    index_image = np.full(ids.shape, -1, dtype=np.int32)
+    segments: list[Segment] = []
+    structure = _FOUR_CONNECTED if cfg.connectivity == 4 else _EIGHT_CONNECTED
+
+    for class_id in np.unique(ids):
+        class_mask = ids == class_id
+        if cfg.segment_mode == SEGMENT_MODE_CLASS:
+            regions = [class_mask]
+        else:
+            labelled, count = ndimage.label(class_mask, structure=structure)
+            regions = [labelled == lab for lab in range(1, count + 1)]
+        component = 0
+        for region in regions:
+            count = int(region.sum())
+            if count < cfg.min_segment_pixels:
+                continue
+            segments.append(_segment_from_region(region, int(class_id), component, mask, count))
+            index_image[region] = len(segments) - 1
+            component += 1
+    return segments, index_image
+
+
+def _speckled_masks():
+    import dataclasses
+
+    from surgraph.synth import generate_sequence, preset_distinct_tools
+
+    cfg = preset_distinct_tools(n_frames=12, seed=5, width=48, height=48)
+    masks, _, _ = generate_sequence(dataclasses.replace(cfg, speckle_noise=0.99))
+    rng = np.random.default_rng(23)
+    return masks + [random_mask(rng, max_side=24, max_classes=17) for _ in range(12)]
+
+
+@pytest.mark.parametrize("mode", ["per-class-region", SEGMENT_MODE_COMPONENT])
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("min_pixels", [0, 1, 10])
+def test_segments_match_reference_loop(mode, connectivity, min_pixels):
+    from surgraph.scene_graph import _edges_from_index_image, _segments_with_index_image
+
+    cfg = FeatureConfig(
+        segment_mode=mode, connectivity=connectivity, min_segment_pixels=min_pixels
+    )
+    for mask in _speckled_masks():
+        got, got_image = _segments_with_index_image(mask, cfg)
+        want, want_image = reference_segments_with_index_image(mask, cfg)
+        assert got == want  # class, pixel count, centroid, component index, bounding box
+        for name in ("class_id", "centroid", "pixel_count", "component_index"):
+            assert np.array_equal(
+                [getattr(s, name) for s in got], [getattr(s, name) for s in want]
+            ), name
+        assert np.array_equal(got_image, want_image)
+        assert np.array_equal(
+            _edges_from_index_image(got_image, connectivity, len(got)),
+            _edges_from_index_image(want_image, connectivity, len(want)),
+        )
