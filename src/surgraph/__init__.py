@@ -59,7 +59,7 @@ from .ingest import (
     write_mask,
 )
 from .metrics import Metrics, compute_metrics, confusion_matrix
-from .numerics import SparseAdjacency, cross_entropy, grad_check, matmul, softmax
+from .numerics import SparseAdjacency, cross_entropy, grad_check, softmax
 from .pipeline import (
     GraphSample,
     TrainConfig,

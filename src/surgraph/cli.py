@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import shutil
 import sys
 from dataclasses import replace
@@ -34,6 +35,7 @@ from .explain import (
 from .gcn import checkpoint_header, load_checkpoint, save_checkpoint
 from .ingest import (
     EmbeddingTable,
+    atomic_write,
     default_label_map,
     list_mask_files,
     load_embeddings,
@@ -335,7 +337,8 @@ def cmd_explain(args) -> int:
     try:
         explanation = explain_prediction(model, graph, explain_cfg)
         dot = export_dot(graph, explanation, label_map)
-        outputs.file(Path(args.dot_out)).write_text(dot)
+        with atomic_write(outputs.file(Path(args.dot_out))) as fh:
+            fh.write(dot)
         if args.json_out:
             write_explanation_json(explanation, graph, outputs.file(Path(args.json_out)))
         if len(explanation.edge_importance):
@@ -525,6 +528,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     raise SystemExit(run())
 
 

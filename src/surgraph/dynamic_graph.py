@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -361,7 +360,3 @@ def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> Dyn
         t=np.array([n["t"] for n in data["nodes"]], dtype=np.int64),
         edge_kinds=np.array([EDGE_KINDS.index(e[2]) for e in edges], dtype=np.int8),
     )
-
-
-def write_dynamic_graph_json(graph: DynamicGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dynamic_graph_to_json(graph)) + "\n")

@@ -20,8 +20,8 @@ from scipy.special import xlogy
 
 from .dynamic_graph import EDGE_TEMPORAL, DynamicGraph
 from .errors import NonFiniteLoss, NotTrained
-from .gcn import GcnModel, forward, loss_and_edge_gradient
-from .ingest import LabelMap
+from .gcn import GcnModel, Workspace, forward, loss_and_edge_gradient
+from .ingest import LabelMap, atomic_write
 
 __all__ = [
     "ExplainConfig",
@@ -81,14 +81,14 @@ def _sigmoid(x):
     return out
 
 
-def _objective(model, graph, logits_mask, target, lam1, lam2):
+def _objective(model, graph, logits_mask, target, lam1, lam2, workspace=None):
     """GNNExplainer's loss and its gradient with respect to the mask logits m.
 
     Cross-entropy of ``target`` with edges weighted by w = sigma(m), plus
     lam1 * sum(w) and lam2 * the summed binary entropy of w.
     """
     w = _sigmoid(logits_mask)
-    ce, grad_w = loss_and_edge_gradient(model, graph, target, w)
+    ce, grad_w = loss_and_edge_gradient(model, graph, target, w, workspace=workspace)
     entropy = float(-(xlogy(w, w) + xlogy(1.0 - w, 1.0 - w)).sum())
     loss = ce + lam1 * float(w.sum()) + lam2 * entropy
     sig_grad = w * (1.0 - w)
@@ -129,8 +129,9 @@ def explain_prediction(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     prev_loss = np.inf
     converged = False
+    workspace = Workspace()
     for it in range(1, cfg.iterations + 1):
-        loss, grad = _objective(model, graph, m, target, cfg.sparsity, cfg.entropy)
+        loss, grad = _objective(model, graph, m, target, cfg.sparsity, cfg.entropy, workspace)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"explainer loss {loss} at iteration {it}")
         adam_m = beta1 * adam_m + (1 - beta1) * grad
@@ -261,4 +262,7 @@ def explanation_to_json(explanation: Explanation, graph) -> dict:
 
 
 def write_explanation_json(explanation: Explanation, graph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(explanation_to_json(explanation, graph), indent=2) + "\n")
+    """Indented JSON; a failed write leaves an earlier file at ``path`` as it was."""
+    text = json.dumps(explanation_to_json(explanation, graph), indent=2) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text)

@@ -6,6 +6,22 @@ backward, and the Adam update are written out explicitly over numpy arrays;
 the backward pass is validated against central differences in the tests.
 Parameters, gradients and Adam's moments each live in one flat vector, and
 the Adam step updates them in place.
+
+The kernel (``forward_prepared``, ``loss_and_gradients_prepared`` and
+``loss_and_edge_gradient``) writes every node-sized intermediate into a
+``Workspace``: each layer's h W product and its output h = relu(S h W + b),
+stored in place, then dL/dZ, dL/dh, the head's dL/dh fanned out to every
+node, and the edge gradient's n x n dL/dS and its symmetric sum. The caller
+owns the workspace and passes it as ``workspace=``: ``pipeline.train`` makes
+one per run and evaluates its validation windows in it too,
+``pipeline.evaluate`` called alone and ``explain.explain_prediction`` make
+one per call, and ``workspace=None`` makes one for that call alone. A workspace
+grows to the largest graph it has seen and keeps its shaped views per node
+count, so a run reuses the same memory for every sample; buffers of 100 KB
+and more that were allocated and freed on each call cost hundreds of page
+faults per call. Only ``SparseAdjacency.apply`` still allocates its result.
+No returned array points into a workspace; one workspace serves one call
+at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +31,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,11 +260,15 @@ def forward(model: GcnModel, graph) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def forward_prepared(
-    model: GcnModel, x: np.ndarray, anorm: SparseAdjacency
+    model: GcnModel,
+    x: np.ndarray,
+    anorm: SparseAdjacency,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Forward pass on a precomputed feature matrix and normalized adjacency."""
     _check_features(model, x)
-    logits, probs, _ = _forward_cached(model, x, anorm)
+    views = _views(workspace, model, x.shape[0])
+    logits, probs, _ = _forward_cached(model, x, anorm, views)
     return logits, probs, int(np.argmax(probs))
 
 
@@ -262,6 +283,7 @@ def loss_and_gradients_prepared(
     anorm: SparseAdjacency,
     label: int,
     out: Gradients | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[float, Gradients]:
     """Cross-entropy and its gradient, written into ``out`` or a fresh buffer.
 
@@ -269,19 +291,21 @@ def loss_and_gradients_prepared(
     sample of a training run.
     """
     _check_features(model, x)
-    _, probs, (cache, h_last, pooled, _) = _forward_cached(model, x, anorm)
-    loss, dlogits, dh = _head_backward(model, probs, label, h_last.shape[0])
+    views = _views(workspace, model, x.shape[0])
+    _, probs, pooled = _forward_cached(model, x, anorm, views)
+    loss, dlogits = _head_backward(model, probs, label, views.dh[-1])
     grads = Gradients(np.empty_like(model.vector), model.shapes) if out is None else out
-    for l, dz, dm in _backward_layers(model, anorm, cache, dh):
+    inputs = (x, *views.h[:-1])
+    for l, dz, dm in _backward_layers(model, anorm, views):
         dz.sum(axis=0, out=grads.biases[l])
-        np.matmul(cache[l][0].T, dm, out=grads.weights[l])
+        np.matmul(inputs[l].T, dm, out=grads.weights[l])
     np.outer(pooled, dlogits, out=grads.fc_weight)
     grads.fc_bias[...] = dlogits
     return loss, grads
 
 
 def loss_and_edge_gradient(
-    model: GcnModel, graph, label: int, w: np.ndarray
+    model: GcnModel, graph, label: int, w: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy with edge e of ``graph`` weighted by w_e, and dL/dw.
 
@@ -299,13 +323,15 @@ def loss_and_edge_gradient(
     x = graph.x
     _check_features(model, x)
     anorm = normalize_adjacency(graph, w)
-    _, probs, (cache, _, _, _) = _forward_cached(model, x, anorm, keep_products=True)
     n = x.shape[0]
-    loss, _, dh = _head_backward(model, probs, label, n)
-    g = np.zeros((n, n))
-    for l, dz, _ in _backward_layers(model, anorm, cache, dh):
-        g += dz @ cache[l][1].T
-    r = g + g.T
+    views = _views(workspace, model, n, edges=True)
+    _, probs, _ = _forward_cached(model, x, anorm, views)
+    loss, _ = _head_backward(model, probs, label, views.dh[-1])
+    g, r = views.g, views.r
+    g.fill(0.0)
+    for l, dz, _ in _backward_layers(model, anorm, views):
+        g += np.matmul(dz, views.m[l].T, out=r)
+    np.add(g, g.T, out=r)
     s_diag = anorm.values[anorm.rows == anorm.cols]  # the triples hold S_uu for every u, in order
     rs = np.bincount(anorm.rows, weights=r[anorm.rows, anorm.cols] * anorm.values, minlength=n)
     t = -0.5 * s_diag * rs
@@ -327,51 +353,123 @@ def _check_features(model, x):
         )
 
 
-def _forward_cached(model, x, anorm, keep_products=False):
-    """Forward pass keeping per-layer values for the backward pass.
+class _Views(NamedTuple):
+    """A workspace cut for one node count n; tuples hold one n x width view per layer."""
 
-    The cache holds (h_in, m = h_in @ W, z = S m + b) per layer; m is None
-    unless ``keep_products`` (only the edge gradient reads it, and holding
-    every m costs the other callers time).
+    m: tuple[np.ndarray, ...]  # h_in @ W; one shared block unless the edge gradient reads them
+    h: tuple[np.ndarray, ...]  # the layer's output, relu(S m + b), stored in place
+    dz: tuple[np.ndarray, ...]  # dL/dZ, one shared block
+    dh: tuple[np.ndarray, ...]  # dL/dh of the layer's output, one shared block
+    mask: tuple[np.ndarray, ...]  # h > 0, one shared bool block
+    g: np.ndarray | None  # n x n dL/dS (edge gradient only)
+    r: np.ndarray | None  # n x n: each layer's dZ M^T, then G + G^T (edge gradient only)
+
+
+class Workspace:
+    """Buffers the GCN kernel writes into, reused from one call to the next.
+
+    One float64 and one bool block grow to the largest graph seen. The
+    shaped views for a node count are cut once and kept, keyed by the
+    node count, the model's parameter shapes and whether the edge gradient
+    needs them (it keeps every layer's product and two n x n matrices).
+    """
+
+    def __init__(self):
+        self._floats = np.empty(0)
+        self._bools = np.empty(0, dtype=bool)
+        self._cuts: dict[tuple, _Views] = {}
+
+    def views(self, shapes: tuple[tuple[int, ...], ...], n: int, edges: bool = False) -> _Views:
+        """Views for a model with parameter ``shapes`` on an ``n``-node graph."""
+        key = (n, shapes, edges)
+        views = self._cuts.get(key)
+        if views is None:
+            views = self._cuts[key] = self._cut(shapes, n, edges)
+        return views
+
+    def _cut(self, shapes, n, edges) -> _Views:
+        widths = [shape[1] for shape in shapes[0:-2:2]]  # W_l is (in, out)
+        block, layers = n * max(widths), n * sum(widths)
+        size = 2 * layers + 2 * block + 2 * n * n if edges else layers + 3 * block
+        if size > self._floats.size or block > self._bools.size:
+            self._floats = np.empty(max(size, self._floats.size))
+            self._bools = np.empty(max(block, self._bools.size), dtype=bool)
+            self._cuts.clear()  # views of the old blocks would keep them alive
+        rest = self._floats
+
+        def take(count):
+            nonlocal rest
+            taken, rest = rest[:count], rest[count:]
+            return taken
+
+        def each_layer(shared=None):
+            """An n x width view per layer: of ``shared``, or of its own block."""
+            return tuple(
+                (take(n * d) if shared is None else shared[: n * d]).reshape(n, d) for d in widths
+            )
+
+        return _Views(
+            m=each_layer() if edges else each_layer(take(block)),
+            h=each_layer(),
+            dz=each_layer(take(block)),
+            dh=each_layer(take(block)),
+            mask=each_layer(self._bools),
+            g=take(n * n).reshape(n, n) if edges else None,
+            r=take(n * n).reshape(n, n) if edges else None,
+        )
+
+
+def _views(workspace, model, n, edges=False) -> _Views:
+    return (Workspace() if workspace is None else workspace).views(model.shapes, n, edges)
+
+
+def _forward_cached(model, x, anorm, views):
+    """Forward pass writing each layer's m = h_in W and h = relu(S m + b) into ``views``.
+
+    Returns (logits, probs, pooled); the layer outputs stay in ``views.h``
+    for the backward pass, and each m in ``views.m``.
     """
     h = x
-    cache = []
-    for weight, bias in zip(model.weights, model.biases):
+    for weight, bias, m, out in zip(model.weights, model.biases, views.m, views.h):
         if h.shape[1] != weight.shape[0]:
             raise DimensionMismatch(
                 f"features {h.shape} do not chain with weight {weight.shape}"
             )
-        m = h @ weight
-        z = anorm.apply(m) + bias
-        cache.append((h, m if keep_products else None, z))
-        h = np.maximum(z, 0.0)
+        np.matmul(h, weight, out=m)
+        np.add(anorm.apply(m), bias, out=out)
+        np.maximum(out, 0.0, out=out)
+        h = out
     pooled = global_add_pool(h)
     logits = pooled @ model.fc_weight + model.fc_bias
     probs = softmax(logits)
-    return logits, probs, (cache, h, pooled, probs)
+    return logits, probs, pooled
 
 
-def _head_backward(model, probs, label, node_count):
-    """Cross-entropy, dL/dlogits = p - e_y, and dL/dh fanned out to every node row."""
+def _head_backward(model, probs, label, dh):
+    """Cross-entropy and dL/dlogits = p - e_y; dL/dh is written into every row of ``dh``."""
     loss = cross_entropy(probs, label)  # LabelOutOfRange outside the model's classes
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    dh = np.tile(model.fc_weight @ dlogits, (node_count, 1))
-    return loss, dlogits, dh
+    dh[...] = model.fc_weight @ dlogits
+    return loss, dlogits
 
 
-def _backward_layers(model, anorm, cache, dh):
+def _backward_layers(model, anorm, views):
     """Yield (layer, dL/dZ, dL/dM) from the last layer to the first.
 
-    dL/dh is carried down to layer 1's input; nothing reads it below layer 0.
+    Reads the head's dL/dh from ``views.dh[-1]``. The yielded dL/dZ is a
+    workspace view that the next step overwrites. dL/dh is carried down to
+    layer 1's input; nothing reads it below layer 0. The ReLU mask comes
+    from the stored output: h > 0 exactly where z > 0, NaN included.
     """
     for l in range(len(model.weights) - 1, -1, -1):
-        z = cache[l][2]
-        dz = dh * (z > 0.0)
+        dz, mask = views.dz[l], views.mask[l]
+        np.greater(views.h[l], 0.0, out=mask)
+        np.multiply(views.dh[l], mask, out=dz)
         dm = anorm.apply(dz)  # S is symmetric, so S^T dZ = S dZ
         yield l, dz, dm
         if l:
-            dh = dm @ model.weights[l].T
+            np.matmul(dm, model.weights[l].T, out=views.dh[l - 1])
 
 
 # --- optimizer ---------------------------------------------------------------------

@@ -26,17 +26,6 @@ from .errors import (
 DENSE_NODE_LIMIT = 64
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax: shifts by the max so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)

@@ -39,6 +39,7 @@ from .gcn import (
     AdamHyper,
     GcnConfig,
     GcnModel,
+    Workspace,
     adam_step,
     forward_prepared,
     init_adam_state,
@@ -301,8 +302,10 @@ def train(
     )
     hyper = AdamHyper(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     state = init_adam_state(model)
-    # One buffer for every sample's gradient and one for every batch's mean
+    # One buffer for every sample's gradient, one for every batch's mean, and
+    # one workspace for the kernel's intermediates, validation included
     grads, acc = zeros_like_gradients(model), zeros_like_gradients(model)
+    workspace = Workspace()
     total = acc.vector
     rng = np.random.default_rng(cfg.seed)
 
@@ -320,7 +323,7 @@ def train(
             for idx in batch:
                 sample = train_samples[idx]
                 loss, _ = loss_and_gradients_prepared(
-                    model, sample.x, sample.adjacency, sample.label, out=grads
+                    model, sample.x, sample.adjacency, sample.label, out=grads, workspace=workspace
                 )
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
@@ -334,7 +337,7 @@ def train(
 
         record = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if val_samples:
-            val_metrics = evaluate(model, val_samples)
+            val_metrics = evaluate(model, val_samples, workspace)
             record["val_accuracy"] = val_metrics.accuracy
             record["val_macro_f1"] = val_metrics.macro_f1
             if val_metrics.accuracy > best_val:
@@ -355,20 +358,26 @@ def train(
 
     if val_samples:
         return model.with_vector(best), history
-    train_metrics = evaluate(model, train_samples)
+    train_metrics = evaluate(model, train_samples, workspace)
     history[-1]["train_accuracy"] = train_metrics.accuracy
     history[-1]["train_macro_f1"] = train_metrics.macro_f1
     return model, history
 
 
-def evaluate(model: GcnModel, samples: list[GraphSample]) -> Metrics:
-    """Window-level accuracy and macro F1 over precomputed samples."""
+def evaluate(
+    model: GcnModel, samples: list[GraphSample], workspace: Workspace | None = None
+) -> Metrics:
+    """Window-level accuracy and macro F1 over precomputed samples.
+
+    ``workspace`` holds the kernel's intermediates; None makes one for this call.
+    """
     if not samples:
         raise EmptyEvalSet("no samples to evaluate")
     truth = []
     preds = []
+    workspace = Workspace() if workspace is None else workspace
     for sample in samples:
-        _, _, pred = forward_prepared(model, sample.x, sample.adjacency)
+        _, _, pred = forward_prepared(model, sample.x, sample.adjacency, workspace=workspace)
         truth.append(sample.label)
         preds.append(pred)
     return compute_metrics(truth, preds, model.config.num_classes)

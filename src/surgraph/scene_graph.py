@@ -8,10 +8,8 @@ All operations are pure and deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -372,10 +370,6 @@ def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray
         i, j = ends[order[np.argmax(repeated) + 1]]
         raise DuplicateEntry(f"adjacency entry ({i}, {j}) given twice {where}")
     return ends
-
-
-def write_graph_json(graph: SceneGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(graph)) + "\n")
 
 
 # --- internals --------------------------------------------------------------------

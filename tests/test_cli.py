@@ -462,3 +462,61 @@ def test_train_rejects_non_finite_embedding(dataset, tmp_path, capsys):
     assert run(argv) == 2
     assert f"{table}: embedding of frame 3, segment seg_4" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("failing", ["dot", "json"])
+def test_failed_explain_keeps_earlier_outputs(
+    checkpoint, dataset, tmp_path, monkeypatch, full_disk, failing
+):
+    import surgraph.cli
+
+    ckpt, _ = checkpoint
+    graphs = tmp_path / "graphs"
+    assert run(
+        [
+            "build-graphs", "--manifest", str(dataset), "--out", str(graphs),
+            "--mode", "dynamic", "--window", "3", "--dilation", "1",
+            "--split", "test", "--num-classes", "17",
+        ]
+    ) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    dot_out, json_out = out / "expl.dot", out / "expl.json"
+    dot_out.write_text("earlier dot\n")
+    json_out.write_text("earlier json\n")
+    if failing == "dot":
+        full_disk()
+    else:
+        write_explanation_json = surgraph.cli.write_explanation_json
+
+        def write_on_a_full_disk(*args):
+            full_disk()
+            return write_explanation_json(*args)
+
+        monkeypatch.setattr(surgraph.cli, "write_explanation_json", write_on_a_full_disk)
+    code = run(
+        [
+            "explain", "--checkpoint", str(ckpt), "--graph", str(sorted(graphs.glob("*.json"))[10]),
+            "--dot-out", str(dot_out), "--json-out", str(json_out), "--iterations", "5",
+        ]
+    )
+    assert code == 2
+    assert json_out.read_text() == "earlier json\n"
+    if failing == "dot":
+        assert dot_out.read_text() == "earlier dot\n"
+    else:
+        assert dot_out.read_text().startswith("graph G {")
+    assert sorted(p.name for p in out.iterdir()) == ["expl.dot", "expl.json"]
+
+
+def test_main_logs_training_progress_to_stderr(dataset, tmp_path):
+    # run() leaves logging alone for callers that embed it; the console
+    # entry point shows the per-epoch lines
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgraph.cli", *_train_argv(dataset, tmp_path, seed=0)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "INFO:surgraph.pipeline:epoch 0: train_loss=" in proc.stderr
+    assert "INFO:surgraph.pipeline:epoch 1: train_loss=" in proc.stderr
+    assert proc.stdout.startswith("accuracy=") and "epoch" not in proc.stdout

@@ -18,17 +18,20 @@ from surgraph.explain import (
 from surgraph.gcn import (
     AdamHyper,
     GcnConfig,
+    Workspace,
     adam_step,
     forward,
+    forward_prepared,
     init_adam_state,
     init_model,
     loss_and_edge_gradient,
     loss_and_gradients,
+    normalize_adjacency,
 )
 from surgraph.ingest import label_map_from_entries
 from surgraph.numerics import DENSE_NODE_LIMIT, cross_entropy, grad_check, softmax
 
-from test_gcn import FakeGraph, _random_graph
+from test_gcn import REUSE_SIZES, FakeGraph, _random_graph, _window_case
 
 
 def _edge_sensitive_model():
@@ -227,6 +230,24 @@ def test_explanation_matches_dense_reference(n):
     assert expl.target_class == target
     np.testing.assert_allclose(expl.edge_importance, importance, rtol=0, atol=1e-12)
     np.testing.assert_allclose(expl.node_importance, node_importance, rtol=0, atol=1e-12)
+
+
+def test_one_workspace_across_graph_sizes_matches_fresh_edge_gradients_bitwise():
+    model, _ = _window_case(60, 1)
+    workspace = Workspace()
+    kept = []
+    for k, n in enumerate(REUSE_SIZES):
+        graph = _window_case(61 + k, n)[1]
+        w = np.random.default_rng(k).uniform(0.05, 0.95, size=len(graph.edges))
+        # a forward pass cuts the same workspace for the same node count
+        forward_prepared(model, graph.x, normalize_adjacency(graph), workspace=workspace)
+        loss, grad_w = loss_and_edge_gradient(model, graph, k, w, workspace=workspace)
+        fresh_loss, fresh_grad_w = loss_and_edge_gradient(model, graph, k, w)
+        assert loss == fresh_loss
+        assert np.array_equal(grad_w, fresh_grad_w)
+        kept.append((grad_w, grad_w.copy()))
+    for grad_w, grad_w0 in kept:
+        assert np.array_equal(grad_w, grad_w0)
 
 
 def test_empty_graph_raises():

@@ -16,10 +16,12 @@ from surgraph.errors import (
     VersionMismatch,
 )
 from surgraph.gcn import (
+    DEFAULT_HIDDEN_DIMS,
     AdamHyper,
     GcnConfig,
     GcnModel,
     Gradients,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -35,6 +37,7 @@ from surgraph.gcn import (
     save_checkpoint,
     checkpoint_header,
     checkpoint_step,
+    forward_prepared,
     zeros_like_gradients,
 )
 from surgraph.numerics import DENSE_NODE_LIMIT, grad_check, softmax
@@ -556,17 +559,19 @@ def test_model_arrays_are_views_of_its_vector():
 def test_gradients_written_in_place_match_allocated_bitwise(n):
     # the weight, bias and head gradients as the backward pass allocated them
     # before it wrote into one flat buffer
-    from surgraph.gcn import _backward_layers, _forward_cached, _head_backward
+    from surgraph.gcn import Workspace, _backward_layers, _forward_cached, _head_backward
 
     rng = np.random.default_rng(30 + n)
     model = init_model(GcnConfig(input_dim=9, num_classes=5, seed=3))
     g = _random_graph(rng, n, 9, p_edge=min(0.4, 6.0 / n))
     anorm = normalize_adjacency(g)
-    _, probs, (cache, h_last, pooled, _) = _forward_cached(model, g.x, anorm)
-    _, dlogits, dh = _head_backward(model, probs, 2, h_last.shape[0])
+    views = Workspace().views(model.shapes, n)
+    _, probs, pooled = _forward_cached(model, g.x, anorm, views)
+    _, dlogits = _head_backward(model, probs, 2, views.dh[-1])
+    inputs = (g.x, *views.h[:-1])
     expected = [None] * (2 * len(model.weights))
-    for l, dz, dm in _backward_layers(model, anorm, cache, dh):
-        expected[2 * l] = cache[l][0].T @ dm
+    for l, dz, dm in _backward_layers(model, anorm, views):
+        expected[2 * l] = inputs[l].T @ dm
         expected[2 * l + 1] = dz.sum(axis=0)
     expected += [np.outer(pooled, dlogits), dlogits.copy()]
     expected = np.concatenate([a.ravel() for a in expected])
@@ -577,6 +582,65 @@ def test_gradients_written_in_place_match_allocated_bitwise(n):
     _, again = loss_and_gradients_prepared(model, g.x, anorm, 2, out=dirty)
     assert again is dirty
     assert np.array_equal(dirty.vector, expected)
+
+
+# Node counts that shrink and grow again, on both sides of DENSE_NODE_LIMIT
+REUSE_SIZES = (150, 120, 30, 150)
+
+
+def _window_case(seed, n, d=16, hidden_dims=DEFAULT_HIDDEN_DIMS):
+    rng = np.random.default_rng(seed)
+    model = init_model(GcnConfig(input_dim=d, hidden_dims=hidden_dims, num_classes=7, seed=seed))
+    return model, _random_graph(rng, n, d, p_edge=min(0.4, 4.0 / n))
+
+
+def test_one_workspace_across_graph_sizes_matches_fresh_calls_bitwise():
+    model, _ = _window_case(40, 1)
+    graphs = [_window_case(41 + k, n)[1] for k, n in enumerate(REUSE_SIZES)]
+    workspace = Workspace()
+    kept = []
+    for label, g in enumerate(graphs):
+        anorm = normalize_adjacency(g)
+        logits, probs, pred = forward_prepared(model, g.x, anorm, workspace=workspace)
+        loss, grads = loss_and_gradients_prepared(model, g.x, anorm, label, workspace=workspace)
+        fresh_logits, fresh_probs, fresh_pred = forward_prepared(model, g.x, anorm)
+        fresh_loss, fresh_grads = loss_and_gradients_prepared(model, g.x, anorm, label)
+        assert np.array_equal(logits, fresh_logits) and np.array_equal(probs, fresh_probs)
+        assert pred == fresh_pred and loss == fresh_loss
+        assert np.array_equal(grads.vector, fresh_grads.vector)
+        kept.append((logits, probs, grads, logits.copy(), probs.copy(), grads.to_vector()))
+    # later calls write only into the workspace, never into returned arrays
+    for logits, probs, grads, logits0, probs0, grads0 in kept:
+        assert np.array_equal(logits, logits0) and np.array_equal(probs, probs0)
+        assert np.array_equal(grads.vector, grads0)
+
+
+def test_kernel_entry_points_make_no_page_faults_with_a_workspace():
+    # Buffers of 100 KB and more that are allocated and freed on every call
+    # come back as fresh zeroed pages; a reused workspace avoids them. The
+    # count of minor faults does not depend on timing.
+    resource = pytest.importorskip("resource")
+    model, g = _window_case(50, 150, d=64)
+    anorm = normalize_adjacency(g)
+    w = np.linspace(0.1, 0.9, len(g.edges))
+    workspace, grads = Workspace(), zeros_like_gradients(model)
+    calls = {
+        "forward_prepared": lambda: forward_prepared(model, g.x, anorm, workspace=workspace),
+        "loss_and_gradients_prepared": lambda: loss_and_gradients_prepared(
+            model, g.x, anorm, 3, out=grads, workspace=workspace
+        ),
+        "loss_and_edge_gradient": lambda: loss_and_edge_gradient(
+            model, g, 3, w, workspace=workspace
+        ),
+    }
+    for name, call in calls.items():
+        for _ in range(3):
+            call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            call()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 20 * 20, f"{name}: {faults / 20:.1f} minor page faults per call"
 
 
 def test_checkpoint_round_trip(tmp_path):

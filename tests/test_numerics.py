@@ -15,26 +15,8 @@ from surgraph.numerics import (
     SparseAdjacency,
     cross_entropy,
     grad_check,
-    matmul,
     softmax,
 )
-
-
-def test_matmul_identity():
-    a = np.arange(9.0).reshape(3, 3)
-    np.testing.assert_array_equal(matmul(a, np.eye(3)), a)
-
-
-def test_matmul_small_example():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-    np.testing.assert_array_equal(out, [[17.0], [39.0]])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ShapeMismatch):
-        matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def test_softmax_uniform():
