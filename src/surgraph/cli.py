@@ -19,13 +19,11 @@ from . import __version__
 from .dynamic_graph import (
     WindowConfig,
     WindowText,
-    build_dynamic_graph,
     context_seconds,
     dynamic_graph_from_json,
     dynamic_graph_to_json,
-    select_window,
 )
-from .errors import EmptyMask, SurgraphError
+from .errors import SurgraphError
 from .explain import (
     ExplainConfig,
     explain_prediction,
@@ -33,27 +31,20 @@ from .explain import (
     write_explanation_json,
 )
 from .gcn import checkpoint_header, load_checkpoint, save_checkpoint
-from .ingest import (
-    EmbeddingTable,
-    atomic_write,
-    default_label_map,
-    list_mask_files,
-    load_embeddings,
-    load_label_map,
-    load_manifest,
-    load_mask,
-)
+from .ingest import atomic_write, default_label_map, load_label_map, load_manifest
 from .pipeline import (
     TrainConfig,
     build_samples,
     evaluate,
+    iter_windows,
+    load_static_graphs,
     run_ablation,
     train,
     warn_skipped_frames,
     write_ablation_csv,
     write_history,
 )
-from .scene_graph import FeatureConfig, build_static_graph, graph_from_json, graph_to_json
+from .scene_graph import FeatureConfig, graph_from_json, graph_to_json
 from .synth import (
     SynthConfig,
     generate_dataset,
@@ -62,6 +53,11 @@ from .synth import (
     preset_planted_contact,
     synth_config_from_json,
 )
+
+# Not called here; bench/tracing.py patches these names in this module, so they stay.
+from .dynamic_graph import build_dynamic_graph  # noqa: F401
+from .ingest import load_mask  # noqa: F401
+from .scene_graph import build_static_graph  # noqa: F401
 
 FEATURE_NAMES = ("class", "spatial", "size", "temporal", "embedding")
 
@@ -224,34 +220,21 @@ def cmd_build_graphs(args) -> int:
         for video in manifest.videos:
             if args.split and video.split != args.split:
                 continue
-            table = (
-                load_embeddings(video.embeddings)
-                if video.embeddings is not None
-                else EmbeddingTable({}, feature_cfg.embedding_dim)
-            )
-            static = {}
-            for frame, path in list_mask_files(video.mask_dir):
-                mask = load_mask(path, frame_index=frame)
-                try:
-                    static[frame] = build_static_graph(mask, table, feature_cfg)
-                except EmptyMask:
-                    skipped.append(f"{video.video_id}/{frame}")
+            static = load_static_graphs(video, feature_cfg, skipped)
             # Renders each frame's node text once for all the windows that hold it.
             node_text = WindowText(static)
-            for frame in sorted(static):
+            graphs = static.items() if args.mode == "static" else iter_windows(static, window_cfg)
+            for frame, graph in graphs:
                 out_path = outputs.file(out_dir / f"{video.video_id}_{frame:06d}.json")
                 if args.mode == "static":
-                    text = json.dumps(graph_to_json(static[frame]))
+                    text = json.dumps(graph_to_json(graph))
                 else:
-                    wanted = select_window(frame, args.window, args.dilation)
-                    graphs = [static[i] for i in wanted if i in static]
-                    dyn = build_dynamic_graph(graphs, window_cfg)
-                    data = dynamic_graph_to_json(dyn, nodes=False)
+                    data = dynamic_graph_to_json(graph, nodes=False)
                     data["context_s"] = context_seconds(
                         args.window, args.dilation, manifest.fps
                     )
                     text = json.dumps(data).replace(
-                        '"nodes": []', '"nodes": ' + node_text.nodes(dyn), 1
+                        '"nodes": []', '"nodes": ' + node_text.nodes(graph), 1
                     )
                 out_path.write_text(text + "\n")
                 count += 1
@@ -343,10 +326,10 @@ def cmd_explain(args) -> int:
             write_explanation_json(explanation, graph, outputs.file(Path(args.json_out)))
         if len(explanation.edge_importance):
             top = int(explanation.edge_importance.argmax())
-            edge = graph.edges[top]
+            i, j = graph.edge_index[top].tolist()
             print(
                 f"explained class {explanation.target_class}: top edge "
-                f"({int(edge[0])},{int(edge[1])}) importance "
+                f"({i},{j}) importance "
                 f"{explanation.edge_importance[top]:.3f}"
             )
         else:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import xlogy
 
-from .dynamic_graph import EDGE_TEMPORAL, DynamicGraph
+from .dynamic_graph import EDGE_KINDS, EDGE_SPATIAL, EDGE_TEMPORAL, DynamicGraph
 from .errors import NonFiniteLoss, NotTrained
 from .gcn import GcnModel, Workspace, forward, loss_and_edge_gradient
 from .ingest import LabelMap, atomic_write
@@ -209,7 +209,7 @@ def export_dot(
     1 + 4 * importance; temporal edges are dashed.
     """
     is_dynamic = isinstance(graph, DynamicGraph)
-    steps = graph.window if is_dynamic else 1
+    steps, kinds = _node_steps_and_edge_kinds(graph)
 
     def class_name(cid: int) -> str:
         if label_map is not None and 0 <= cid < label_map.cardinality:
@@ -217,14 +217,12 @@ def export_dot(
         return f"class_{cid}"
 
     lines = ["graph G {"]
-    for idx, node in enumerate(graph.nodes):
-        label = class_name(node.class_id)
+    for idx, (cid, t) in enumerate(zip(graph.class_ids.tolist(), steps)):
+        label = class_name(cid)
         if is_dynamic:
-            label += f"@t-{steps - 1 - node.t}"
+            label += f"@t-{graph.window - 1 - t}"
         lines.append(f'  n{idx} [label="{label}"];')
-    for e, edge in enumerate(graph.edges):
-        i, j = int(edge[0]), int(edge[1])
-        kind = edge[2] if len(edge) > 2 else "spatial"
+    for e, ((i, j), kind) in enumerate(zip(graph.edge_index.tolist(), kinds)):
         if explanation is None:
             width = 1.0
         else:
@@ -237,26 +235,27 @@ def export_dot(
     return "\n".join(lines) + "\n"
 
 
+def _node_steps_and_edge_kinds(graph) -> tuple[list[int], list[str]]:
+    """Each node's timestep and each edge's kind; a static graph is step 0, all spatial."""
+    if isinstance(graph, DynamicGraph):
+        return graph.t.tolist(), [EDGE_KINDS[k] for k in graph.edge_kinds.tolist()]
+    return [0] * len(graph.class_ids), [EDGE_SPATIAL] * len(graph.edge_index)
+
+
 def explanation_to_json(explanation: Explanation, graph) -> dict:
-    edges = []
-    for e, edge in enumerate(graph.edges):
-        kind = edge[2] if len(edge) > 2 else "spatial"
-        edges.append(
-            {
-                "i": int(edge[0]),
-                "j": int(edge[1]),
-                "kind": kind,
-                "importance": float(explanation.edge_importance[e]),
-            }
-        )
+    steps, kinds = _node_steps_and_edge_kinds(graph)
+    edges = [
+        {"i": i, "j": j, "kind": kind, "importance": float(explanation.edge_importance[e])}
+        for e, ((i, j), kind) in enumerate(zip(graph.edge_index.tolist(), kinds))
+    ]
     nodes = [
         {
             "index": idx,
-            "t": node.t,
-            "class": node.class_id,
+            "t": t,
+            "class": cid,
             "importance": float(explanation.node_importance[idx]),
         }
-        for idx, node in enumerate(graph.nodes)
+        for idx, (cid, t) in enumerate(zip(graph.class_ids.tolist(), steps))
     ]
     return {"target_class": explanation.target_class, "edges": edges, "nodes": nodes}
 

@@ -571,7 +571,8 @@ def save_checkpoint(
         fh.write(model.vector.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path: str | Path) -> GcnModel:
+def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
+    """The file's bytes, its JSON header, and where the parameter block starts."""
     data = Path(path).read_bytes()
     if len(data) < 12:
         raise CorruptCheckpoint(f"{path}: shorter than the fixed header")
@@ -584,6 +585,16 @@ def load_checkpoint(path: str | Path) -> GcnModel:
         raise CorruptCheckpoint(f"{path}: truncated JSON header")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CorruptCheckpoint(f"{path}: malformed header (not a JSON object)")
+    return data, header, 12 + header_len
+
+
+def load_checkpoint(path: str | Path) -> GcnModel:
+    data, header, offset = _read_checkpoint(path)
+    try:
         cfg = GcnConfig(
             input_dim=header["config"]["input_dim"],
             hidden_dims=tuple(header["config"]["hidden_dims"]),
@@ -596,7 +607,6 @@ def load_checkpoint(path: str | Path) -> GcnModel:
 
     if dims != _expected_shapes(cfg):
         raise CorruptCheckpoint(f"{path}: parameter shapes {dims} do not match config")
-    offset = 12 + header_len
     count = sum(math.prod(shape) for shape in dims)
     end = offset + 8 * count
     if end > len(data):
@@ -609,21 +619,7 @@ def load_checkpoint(path: str | Path) -> GcnModel:
 
 def checkpoint_header(path: str | Path) -> dict:
     """The JSON header of a checkpoint (config, dims, step, extra)."""
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a checkpoint")
-    _, header_len = struct.unpack("<II", data[4:12])
-    if len(data) < 12 + header_len:
-        raise CorruptCheckpoint(f"{path}: truncated JSON header")
-    try:
-        return json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except ValueError as exc:
-        raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
-
-
-def checkpoint_step(path: str | Path) -> int:
-    """The optimizer step recorded in a checkpoint header."""
-    return int(checkpoint_header(path).get("step", 0))
+    return _read_checkpoint(path)[1]
 
 
 def _expected_shapes(cfg: GcnConfig) -> list[tuple[int, ...]]:

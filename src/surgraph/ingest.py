@@ -101,10 +101,6 @@ class LabelMap:
     def cardinality(self) -> int:
         return len(self.names)
 
-    @property
-    def entries(self) -> list[tuple[int, str]]:
-        return list(enumerate(self.names))
-
     def name_of(self, class_id: int) -> str:
         return self.names[class_id]
 
@@ -178,9 +174,6 @@ class VideoEntry:
 class DatasetManifest:
     fps: int
     videos: tuple[VideoEntry, ...]
-
-    def split_videos(self, split: str) -> list[VideoEntry]:
-        return [v for v in self.videos if v.split == split]
 
 
 # --- SGM1 masks ---------------------------------------------------------------
@@ -265,11 +258,6 @@ def label_map_from_entries(entries: list[tuple[int, str]]) -> LabelMap:
         raise NonContiguousIds(f"ids {sorted(ids)} are not 0..{len(ids) - 1}")
     names = [name for _, name in sorted(entries)]
     return LabelMap(names=tuple(names))
-
-
-def write_label_map(label_map: LabelMap, path: str | Path) -> None:
-    entries = [{"id": i, "name": n} for i, n in label_map.entries]
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def default_label_map() -> LabelMap:

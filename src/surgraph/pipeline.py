@@ -1,7 +1,11 @@
-"""Dataset splitting, training, evaluation, and the ablation runner.
+"""Dataset splitting, sample building, training, evaluation, and the ablation runner.
 
 A sample is one dilated window of static graphs collapsed into a dynamic
-graph, labelled by its anchor frame's phase. Training accumulates gradients
+graph, labelled by its anchor frame's phase. ``load_static_graphs`` turns a
+video's masks into static graphs and ``iter_windows`` stitches them into
+windows; ``build_samples`` and the ``build-graphs`` command both go through
+these two. ``fit`` trains on samples the caller holds, and ``train`` builds
+a manifest's samples and calls ``fit``. Training accumulates gradients
 over a batch of windows, applies one Adam step per batch, and keeps the model
 with the best validation accuracy. Everything is seeded and bitwise
 reproducible.
@@ -10,9 +14,10 @@ reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +26,7 @@ import numpy as np
 
 from .dynamic_graph import (
     LABEL_NEWEST,
+    DynamicGraph,
     WindowConfig,
     build_dynamic_graph,
     context_seconds,
@@ -44,15 +50,12 @@ from .gcn import (
     forward_prepared,
     init_adam_state,
     init_model,
-    load_checkpoint,
     loss_and_gradients_prepared,
     normalize_adjacency,
-    save_checkpoint,
     zeros_like_gradients,
 )
 from .ingest import (
     DatasetManifest,
-    EmbeddingTable,
     VideoEntry,
     atomic_write,
     list_mask_files,
@@ -62,7 +65,7 @@ from .ingest import (
 )
 from .metrics import Metrics, compute_metrics
 from .numerics import SparseAdjacency
-from .scene_graph import FeatureConfig, build_static_graph
+from .scene_graph import FeatureConfig, SceneGraph, build_static_graph
 
 log = logging.getLogger(__name__)
 
@@ -70,14 +73,15 @@ __all__ = [
     "TrainConfig",
     "GraphSample",
     "split_dataset",
+    "load_static_graphs",
+    "iter_windows",
     "build_samples",
+    "fit",
     "train",
     "evaluate",
     "run_ablation",
     "write_ablation_csv",
     "write_history",
-    "save_checkpoint",
-    "load_checkpoint",
     "ABLATION_CSV_HEADER",
 ]
 
@@ -188,6 +192,51 @@ def split_dataset(
     return buckets["train"], buckets["val"], buckets["test"]
 
 
+def load_static_graphs(
+    video: VideoEntry, feature_cfg: FeatureConfig, skipped: list[str], threads: int = 1
+) -> dict[int, SceneGraph]:
+    """The static graph of every usable frame of ``video``, in frame order.
+
+    A frame with no segment of at least ``min_segment_pixels`` is left out
+    and appended to ``skipped`` as ``video/frame``. With ``threads > 1``
+    frames are built across a thread pool.
+    """
+    mask_files = list_mask_files(video.mask_dir)
+    if not mask_files:
+        return {}
+    # build_static_graph drops the embedding block without a table
+    table = load_embeddings(video.embeddings) if video.embeddings is not None else None
+
+    def build_one(item):
+        frame, path = item
+        mask = load_mask(path, frame_index=frame)
+        try:
+            return frame, build_static_graph(mask, table, feature_cfg)
+        except EmptyMask:
+            return frame, None
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            built = list(pool.map(build_one, mask_files))
+    else:
+        built = [build_one(item) for item in mask_files]
+    skipped.extend(f"{video.video_id}/{frame}" for frame, graph in built if graph is None)
+    return {frame: graph for frame, graph in built if graph is not None}
+
+
+def iter_windows(
+    static: dict[int, SceneGraph], window_cfg: WindowConfig
+) -> Iterator[tuple[int, DynamicGraph]]:
+    """``(frame, window)`` for every frame of ``static``, in frame order.
+
+    Windows at the start of a video are shorter, and a frame missing from
+    ``static`` is simply absent from the windows that would have held it.
+    """
+    for frame in sorted(static):
+        wanted = select_window(frame, window_cfg.window, window_cfg.dilation)
+        yield frame, build_dynamic_graph([static[i] for i in wanted if i in static], window_cfg)
+
+
 def build_samples(
     videos: list[VideoEntry],
     cfg: TrainConfig,
@@ -195,50 +244,22 @@ def build_samples(
 ) -> list[GraphSample]:
     """Window samples for every labelled frame of every video.
 
-    Static graphs are built once per frame (optionally across a thread pool)
-    and shared between overlapping windows. Windows at the start of a video
-    are shorter; frames missing from the mask directory are simply absent
-    from the windows that would have included them. A frame with no segment
-    of at least ``min_segment_pixels`` is skipped the same way (it anchors
-    no sample). A window whose label frame has no phase annotation is
-    skipped too (its frame still serves other windows), and one warning
-    counts the skipped frames by reason.
+    Each frame's static graph is built once and shared between overlapping
+    windows. A frame skipped by ``load_static_graphs`` anchors no sample. A
+    window whose label frame has no phase annotation is skipped too (its
+    frame still serves other windows), and one warning counts the skipped
+    frames by reason.
     """
     window_cfg = cfg.window_config()
     samples: list[GraphSample] = []
     skipped: list[str] = []
     unlabelled: list[str] = []
     for video in videos:
-        mask_files = list_mask_files(video.mask_dir)
-        if not mask_files:
+        static = load_static_graphs(video, cfg.feature_config, skipped, threads=threads)
+        if not static:
             continue
         track = load_phase_labels(video.phase_csv, video_id=video.video_id)
-        table = (
-            load_embeddings(video.embeddings)
-            if video.embeddings is not None
-            else EmbeddingTable({}, cfg.feature_config.embedding_dim)
-        )
-
-        def build_one(item):
-            frame, path = item
-            mask = load_mask(path, frame_index=frame)
-            try:
-                return frame, build_static_graph(mask, table, cfg.feature_config)
-            except EmptyMask:
-                return frame, None
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                built = list(pool.map(build_one, mask_files))
-        else:
-            built = [build_one(item) for item in mask_files]
-        static = {frame: graph for frame, graph in built if graph is not None}
-        skipped.extend(f"{video.video_id}/{frame}" for frame, graph in built if graph is None)
-
-        for frame in static:
-            wanted = select_window(frame, cfg.window, cfg.dilation)
-            graphs = [static[i] for i in wanted if i in static]
-            dyn = build_dynamic_graph(graphs, window_cfg)
+        for frame, dyn in iter_windows(static, window_cfg):
             try:
                 label = track.label_at(dyn.label_frame_index)
             except MissingLabel:
@@ -274,23 +295,30 @@ def warn_skipped_frames(
 def train(
     cfg: TrainConfig, manifest: DatasetManifest, threads: int = 1
 ) -> tuple[GcnModel, list[dict]]:
-    """Train on the manifest's train split, select on its val split.
-
-    Returns the best-validation-accuracy model and a per-epoch history of
-    {"epoch", "train_loss", "val_accuracy", "val_macro_f1"}. Stops early
-    after ``patience`` epochs without a validation improvement. With an empty
-    val split the final model is returned, no early stopping happens, and
-    the last record gains "train_accuracy" and "train_macro_f1": the final
-    model scored on the train samples.
-    """
+    """``fit`` on the samples of the manifest's train and val splits."""
     train_videos, val_videos, _ = split_dataset(manifest)
     if not train_videos:
         raise EmptyTrainSet("manifest has no train videos")
     train_samples = build_samples(train_videos, cfg, threads=threads)
     if not train_samples:
         raise EmptyTrainSet("train split produced no window samples")
-    val_samples = build_samples(val_videos, cfg, threads=threads)
+    return fit(cfg, train_samples, build_samples(val_videos, cfg, threads=threads))
 
+
+def fit(
+    cfg: TrainConfig, train_samples: list[GraphSample], val_samples: list[GraphSample]
+) -> tuple[GcnModel, list[dict]]:
+    """Train on ``train_samples``, select on ``val_samples``.
+
+    Returns the best-validation-accuracy model and a per-epoch history of
+    {"epoch", "train_loss", "val_accuracy", "val_macro_f1"}. Stops early
+    after ``patience`` epochs without a validation improvement. With no val
+    samples the final model is returned, no early stopping happens, and
+    the last record gains "train_accuracy" and "train_macro_f1": the final
+    model scored on the train samples.
+    """
+    if not train_samples:
+        raise EmptyTrainSet("no train samples")
     input_dim = train_samples[0].feature_dim
     model = init_model(
         GcnConfig(
@@ -383,10 +411,6 @@ def evaluate(
     return compute_metrics(truth, preds, model.config.num_classes)
 
 
-def predict(model: GcnModel, sample: GraphSample) -> int:
-    return forward_prepared(model, sample.x, sample.adjacency)[2]
-
-
 def write_history(history: list[dict], path: str | Path) -> None:
     """JSON history; a failed write leaves an earlier file at ``path`` as it was."""
     text = json.dumps(history, indent=2) + "\n"
@@ -417,8 +441,12 @@ def run_ablation(
             continue
         seen.add(key)
         try:
-            model, _ = train(cfg, manifest, threads=threads)
-            _, _, test_videos = split_dataset(manifest)
+            train_videos, val_videos, test_videos = split_dataset(manifest)
+            model, _ = fit(
+                cfg,
+                build_samples(train_videos, cfg, threads=threads),
+                build_samples(val_videos, cfg, threads=threads),
+            )
             test_samples = build_samples(test_videos, cfg, threads=threads)
             rows.append(AblationRow(cfg, evaluate(model, test_samples)))
         except Exception as exc:  # recorded, not fatal: one bad cell shouldn't kill the grid
@@ -428,27 +456,30 @@ def run_ablation(
 
 
 def write_ablation_csv(rows: list[AblationRow], path: str | Path, fps: float) -> None:
-    """CSV with one row per ablation cell, matching the fixed header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_CSV_HEADER.split(","))
-        for row in rows:
-            cfg = row.config
-            fc = cfg.feature_config
-            graph_kind = "static" if cfg.window == 1 else "dynamic"
-            context = context_seconds(cfg.window, cfg.dilation, fps)
-            cells = [
-                graph_kind,
-                int(fc.use_spatial),
-                int(fc.use_size),
-                int(fc.use_embedding),
-                int(fc.use_temporal),
-                cfg.window,
-                cfg.dilation,
-                f"{context:g}",
-            ]
-            if row.metrics is None:
-                cells.extend(["", ""])
-            else:
-                cells.extend([f"{row.metrics.accuracy:.6f}", f"{row.metrics.macro_f1:.6f}"])
-            writer.writerow(cells)
+    """One CSV row per ablation cell under the fixed header; a failed write
+    leaves an earlier file at ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(ABLATION_CSV_HEADER.split(","))
+    for row in rows:
+        cfg = row.config
+        fc = cfg.feature_config
+        graph_kind = "static" if cfg.window == 1 else "dynamic"
+        context = context_seconds(cfg.window, cfg.dilation, fps)
+        cells = [
+            graph_kind,
+            int(fc.use_spatial),
+            int(fc.use_size),
+            int(fc.use_embedding),
+            int(fc.use_temporal),
+            cfg.window,
+            cfg.dilation,
+            f"{context:g}",
+        ]
+        if row.metrics is None:
+            cells.extend(["", ""])
+        else:
+            cells.extend([f"{row.metrics.accuracy:.6f}", f"{row.metrics.macro_f1:.6f}"])
+        writer.writerow(cells)
+    with atomic_write(path, "wb") as fh:
+        fh.write(text.getvalue().encode("utf-8"))

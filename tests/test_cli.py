@@ -360,6 +360,61 @@ def test_build_graphs_skips_empty_frame(tmp_path, caplog):
     ]
 
 
+def test_build_graphs_windows_match_build_samples(tmp_path, monkeypatch, caplog):
+    # build-graphs and build_samples share one frame loader and one window
+    # iterator: same windows, same skips, one window built per written file
+    from surgraph import pipeline
+    from surgraph.dynamic_graph import dynamic_graph_from_json
+    from surgraph.gcn import normalize_adjacency
+    from surgraph.ingest import SegmentationMask, write_mask
+    from surgraph.synth import generate_dataset, preset_distinct_tools
+
+    cfg = preset_distinct_tools(n_frames=20, phase_frames=5, seed=3, video_id="v0")
+    manifest_path, _ = generate_dataset(tmp_path / "data", [cfg], fps=1)
+    manifest = load_manifest(manifest_path)
+    blank = SegmentationMask(3, 3, np.zeros((3, 3), dtype=np.uint8), 5)
+    write_mask(blank, manifest.videos[0].mask_dir / "000005.sgm")
+
+    built = []
+    build = pipeline.build_dynamic_graph
+    monkeypatch.setattr(
+        pipeline, "build_dynamic_graph", lambda *a, **k: built.append(1) or build(*a, **k)
+    )
+    out = tmp_path / "graphs"
+    with caplog.at_level("WARNING"):
+        code = run(["build-graphs", "--manifest", str(manifest_path), "--out", str(out),
+                    "--mode", "dynamic", "--window", "4", "--dilation", "2",
+                    "--features", "class,spatial,size,temporal"])
+    assert code == 0
+    files = sorted(out.glob("*.json"))
+    assert len(built) == len(files) == 19
+
+    train_cfg = TrainConfig(
+        feature_config=FeatureConfig(num_classes=17, use_spatial=True, use_size=True,
+                                     use_temporal=True),
+        window=4,
+        dilation=2,
+    )
+    with caplog.at_level("WARNING"):
+        samples = {(s.video_id, s.frame_index): s
+                   for s in pipeline.build_samples(list(manifest.videos), train_cfg)}
+    assert sorted(f"{v}_{f:06d}.json" for v, f in samples) == [p.name for p in files]
+    for path in files:
+        data = json.loads(path.read_text())
+        sample = samples[("v0", data["frame"])]
+        graph = dynamic_graph_from_json(data, train_cfg.feature_config)
+        assert graph.x.tobytes() == sample.x.tobytes()
+        adjacency = normalize_adjacency(graph)
+        for ours, theirs in zip(
+            (adjacency.rows, adjacency.cols, adjacency.values),
+            (sample.adjacency.rows, sample.adjacency.cols, sample.adjacency.values),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 1 frame(s) with no segment >= 10 px: v0/5"
+    ] * 2
+
+
 def test_build_graphs_dynamic_files_match_dict_path(dataset, tmp_path):
     # every file equals json.dumps of the full dict, which export wrote before
     # it spliced in cached node text

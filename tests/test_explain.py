@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -360,6 +358,57 @@ def test_export_dot_matches_golden():
     assert dot == golden.read_text()
 
 
+def _view_explanation_to_json(explanation, graph) -> dict:
+    """``explanation_to_json`` as written against the ``nodes`` and ``edges`` views."""
+    edges = []
+    for e, edge in enumerate(graph.edges):
+        kind = edge[2] if len(edge) > 2 else "spatial"
+        edges.append(
+            {
+                "i": int(edge[0]),
+                "j": int(edge[1]),
+                "kind": kind,
+                "importance": float(explanation.edge_importance[e]),
+            }
+        )
+    nodes = [
+        {
+            "index": idx,
+            "t": node.t,
+            "class": node.class_id,
+            "importance": float(explanation.node_importance[idx]),
+        }
+        for idx, node in enumerate(graph.nodes)
+    ]
+    return {"target_class": explanation.target_class, "edges": edges, "nodes": nodes}
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_explanation_json_matches_view_reference(window):
+    import json
+
+    from conftest import random_mask
+    from surgraph.dynamic_graph import WindowConfig, build_dynamic_graph
+    from surgraph.scene_graph import FeatureConfig, build_static_graph
+
+    rng = np.random.default_rng(window)
+    cfg = FeatureConfig(num_classes=8, min_segment_pixels=1)
+    frames = [
+        build_static_graph(random_mask(rng, frame_index=f), cfg=cfg) for f in range(window)
+    ]
+    graph = frames[0] if window == 1 else build_dynamic_graph(frames, WindowConfig(window, 1))
+    assert len(graph.edge_index) > 0
+    expl = Explanation(
+        edge_importance=rng.uniform(size=len(graph.edge_index)),
+        node_importance=rng.uniform(size=graph.x.shape[0]),
+        target_class=2,
+        converged=True,
+        iterations=10,
+    )
+    text = json.dumps(explanation_to_json(expl, graph), indent=2)
+    assert text == json.dumps(_view_explanation_to_json(expl, graph), indent=2)
+
+
 def test_explanation_json_schema():
     model, plain = _edge_sensitive_model()
     graph = FakeGraphWithClasses(plain.x, plain.edges, class_ids=(0, 1, 2))
@@ -371,20 +420,7 @@ def test_explanation_json_schema():
     assert all(0.0 <= e["importance"] <= 1.0 for e in data["edges"])
 
 
-@dataclasses.dataclass
-class FakeNodeWithClass:
-    features: np.ndarray
-    class_id: int
-    t: int = 0
-
-
 class FakeGraphWithClasses(FakeGraph):
     def __init__(self, x, edges, class_ids):
         super().__init__(x, edges)
-        self.class_ids = class_ids
-
-    @property
-    def nodes(self):
-        return [
-            FakeNodeWithClass(row, cid) for row, cid in zip(self.x, self.class_ids)
-        ]
+        self.class_ids = np.asarray(class_ids, dtype=np.int64)

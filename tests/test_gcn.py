@@ -36,7 +36,6 @@ from surgraph.gcn import (
     normalize_adjacency,
     save_checkpoint,
     checkpoint_header,
-    checkpoint_step,
     forward_prepared,
     zeros_like_gradients,
 )
@@ -651,7 +650,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == model.config
     for a, b in zip(model.parameter_arrays(), loaded.parameter_arrays()):
         np.testing.assert_array_equal(a, b)
-    assert checkpoint_step(path) == 17
+    assert checkpoint_header(path)["step"] == 17
     assert checkpoint_header(path)["extra"] == {"note": "x"}
     # saving the loaded model reproduces the file byte for byte
     again = tmp_path / "m2.ckpt"
@@ -708,6 +707,25 @@ def test_checkpoint_version_mismatch(tmp_path):
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatch):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (lambda blob: blob[:4] + (2).to_bytes(4, "little") + blob[8:], VersionMismatch),
+        (lambda blob: blob[:20], CorruptCheckpoint),  # header cut short
+        (lambda blob: blob[:8] + (3).to_bytes(4, "little") + b"[1]" + blob[15:], CorruptCheckpoint),
+    ],
+    ids=["version-2", "truncated-header", "non-object-header"],
+)
+def test_header_reader_and_loader_reject_the_same_files(tmp_path, damage, error):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(SMALL_CFG), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(error):
+        checkpoint_header(path)
+    with pytest.raises(error):
         load_checkpoint(path)
 
 

@@ -239,7 +239,7 @@ def test_manifest_round_trip(tmp_path):
     assert loaded.fps == 1
     assert loaded.videos[0].video_id == "a"
     assert loaded.videos[0].mask_dir == mdir
-    assert loaded.split_videos("train")[0].video_id == "a"
+    assert loaded.videos[0].split == "train"
 
 
 def test_manifest_missing_path(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from surgraph import pipeline
 from surgraph.errors import EmptyEvalSet, EmptyTrainSet, OverlappingSplits
+from surgraph.gcn import forward_prepared
 from surgraph.ingest import (
     DatasetManifest,
     SegmentationMask,
@@ -21,7 +22,7 @@ from surgraph.pipeline import (
     TrainConfig,
     build_samples,
     evaluate,
-    predict,
+    fit,
     run_ablation,
     split_dataset,
     train,
@@ -128,11 +129,27 @@ def test_train_empty_train_split():
         train(SMALL_TRAIN, manifest)
 
 
+def test_fit_on_built_samples_matches_train(tiny_manifest):
+    cfg = dataclasses.replace(SMALL_TRAIN, epochs=4)
+    model, history = train(cfg, tiny_manifest)
+    train_videos, val_videos, _ = split_dataset(tiny_manifest)
+    fitted, fit_history = fit(
+        cfg, build_samples(train_videos, cfg), build_samples(val_videos, cfg)
+    )
+    assert json.dumps(fit_history) == json.dumps(history)
+    assert fitted.vector.tobytes() == model.vector.tobytes()
+
+
+def test_fit_empty_train_samples():
+    with pytest.raises(EmptyTrainSet):
+        fit(SMALL_TRAIN, [], [])
+
+
 def test_predict_matches_evaluate(tiny_manifest):
     model, _ = train(SMALL_TRAIN, tiny_manifest)
     _, _, te = split_dataset(tiny_manifest)
     samples = build_samples(te, SMALL_TRAIN)
-    preds = [predict(model, s) for s in samples]
+    preds = [forward_prepared(model, s.x, s.adjacency)[2] for s in samples]
     metrics = evaluate(model, samples)
     manual = compute_metrics([s.label for s in samples], preds, model.config.num_classes)
     assert metrics.accuracy == manual.accuracy
@@ -292,6 +309,19 @@ def test_write_ablation_csv(tmp_path):
     assert lines[1] == "dynamic,0,0,0,0,30,1,30,0.750000,0.733333"
     assert lines[2].startswith("dynamic,1,0,0,1,30,3,90,")
     assert lines[3] == "static,0,0,0,0,1,1,1,,"
+
+
+def test_failed_ablation_csv_write_keeps_earlier_file(tmp_path, full_disk):
+    path = tmp_path / "ablation.csv"
+    row = AblationRow(TrainConfig(window=1, dilation=1), None, error="boom")
+    write_ablation_csv([row], path, fps=1.0)
+    before = path.read_bytes()
+    assert before == f"{ABLATION_CSV_HEADER}\r\nstatic,0,0,0,0,1,1,1,,\r\n".encode()
+    full_disk()
+    with pytest.raises(OSError):
+        write_ablation_csv([row] * 5, path, fps=1.0)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
 def test_empty_frame_is_skipped_and_counted(tmp_path, monkeypatch, caplog):
