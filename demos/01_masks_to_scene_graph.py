@@ -31,19 +31,20 @@ again = load_mask(path, frame_index=0)
 print(f"wrote {path.name} ({path.stat().st_size} bytes), "
       f"round-trip exact: {np.array_equal(mask.class_ids, again.class_ids)}")
 
-# segments: one region per class above the pixel threshold
+# segments: one region per class above the pixel threshold, as arrays
 cfg = FeatureConfig(num_classes=17, use_spatial=True, use_size=True)
 segments = extract_segments(mask, cfg)
-for seg in segments:
-    cx, cy = seg.centroid
-    print(f"  segment class {seg.class_id:2d} {labels.name_of(seg.class_id):<22} "
-          f"{seg.pixel_count:4d} px  centroid ({cx:.2f}, {cy:.2f})")
+classes = segments.class_ids.tolist()
+for c, count, (cx, cy) in zip(
+    classes, segments.pixel_counts.tolist(), segments.centroids.tolist()
+):
+    print(f"  segment class {c:2d} {labels.name_of(c):<22} "
+          f"{count:4d} px  centroid ({cx:.2f}, {cy:.2f})")
 
 # adjacency: which segments share a pixel border
-edges = compute_adjacency(mask, segments, cfg)
+edges = compute_adjacency(segments)
 for i, j in edges:
-    print(f"  edge {labels.name_of(segments[i].class_id)} -- "
-          f"{labels.name_of(segments[j].class_id)}")
+    print(f"  edge {labels.name_of(classes[i])} -- {labels.name_of(classes[j])}")
 
 # the full graph carries one feature row per segment
 graph = build_static_graph(mask, None, cfg)

@@ -35,7 +35,6 @@ from .gcn import (
     GcnConfig,
     GcnModel,
     adam_step,
-    backward,
     forward,
     gcn_layer_forward,
     global_add_pool,
@@ -73,13 +72,12 @@ from .scene_graph import (
     FeatureConfig,
     NodeRecord,
     SceneGraph,
-    Segment,
+    Segments,
     build_static_graph,
     compute_adjacency,
     extract_segments,
     graph_from_json,
     graph_to_json,
-    segment_size,
     spatial_encoding,
 )
 from .synth import (

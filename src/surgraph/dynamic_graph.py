@@ -40,14 +40,11 @@ class WindowConfig:
 
     ``window`` static graphs spaced ``dilation`` frames apart end at the
     query frame; together they cover window*dilation/fps seconds of video.
-    ``bridge_single_gap`` optionally joins nodes across one missing timestep
-    when their class vanished in between.
     """
 
     window: int = 30
     dilation: int = 3
     label_policy: str = LABEL_NEWEST
-    bridge_single_gap: bool = False
 
     def __post_init__(self):
         if self.window < 1 or self.dilation < 1:
@@ -64,10 +61,10 @@ class DynamicGraph(GraphArrays):
     configured window near the start of a video). Nodes are timestep-major:
     ``t`` holds each node's step. Row k of ``edge_index`` is an (i, j) pair
     with i < j and ``edge_kinds[k]`` indexes ``EDGE_KINDS``. Edges are
-    grouped as: spatial edges of step 0, temporal edges 0-1 (then bridged
-    edges 0-2), spatial edges of step 1, temporal 1-2, ...; within a
-    temporal group pairs are ordered by (i, j). ``nodes`` and ``edges``
-    (``(i, j, kind)`` tuples) are views derived from these arrays.
+    grouped as: spatial edges of step 0, temporal edges 0-1, spatial edges
+    of step 1, temporal 1-2, ...; within a temporal group pairs are ordered
+    by (i, j). ``nodes`` and ``edges`` (``(i, j, kind)`` tuples) are views
+    derived from these arrays.
     """
 
     window: int
@@ -146,9 +143,8 @@ def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = Non
     """Stitch ordered static graphs (oldest first) into a dynamic graph.
 
     Temporal edges connect every pair of equal-class nodes in consecutive
-    timesteps; a class absent from a timestep breaks its chain there unless
-    ``bridge_single_gap`` lets one missing step be skipped. Raises
-    EmptyWindow for an empty list.
+    timesteps; a class absent from a timestep breaks its chain there.
+    Raises EmptyWindow for an empty list.
     """
     cfg = cfg or WindowConfig()
     if not graphs:
@@ -170,22 +166,17 @@ def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = Non
     spatial = np.concatenate([g.edge_index for g in graphs])
     spatial += np.repeat(starts, edge_counts)[:, None]
 
-    # Nodes of equal class in steps s and s + gap have keys k and k + gap * span.
+    # Nodes of equal class in steps s and s + 1 have keys k and k + span.
     low = class_ids.min(initial=0)
     span = int(class_ids.max(initial=0) - low) + 1
     key = t * span + (class_ids - low)
-    order = np.argsort(key, kind="stable")
-    older, newer, matched = _key_matches(key, order, np.arange(key.size), span)
-    if cfg.bridge_single_gap:
-        older2, newer2, _ = _key_matches(key, order, np.flatnonzero(matched == 0), 2 * span)
-    else:
-        older2 = newer2 = np.zeros(0, dtype=np.int64)
+    older, newer = _key_matches(key, span)
 
     # Stable sort on (step of the older end, group) puts every group in the
     # documented place and keeps each group's own order.
-    ends = np.concatenate([spatial, np.stack([older, newer], 1), np.stack([older2, newer2], 1)])
-    group = np.repeat([0, 1, 2], [spatial.shape[0], older.size, older2.size])
-    place = np.argsort(3 * t[ends[:, 0]] + group, kind="stable")
+    ends = np.concatenate([spatial, np.stack([older, newer], 1)])
+    group = np.repeat([0, 1], [spatial.shape[0], older.size])
+    place = np.argsort(2 * t[ends[:, 0]] + group, kind="stable")
 
     if cfg.label_policy == LABEL_CENTER:
         label_frame = graphs[steps // 2].frame_index
@@ -208,19 +199,19 @@ def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = Non
     )
 
 
-def _key_matches(key, order, sources, offset):
-    """(older, newer, matches per source) for key[newer] == key[older] + offset.
+def _key_matches(key, offset):
+    """(older, newer) node pairs with key[newer] == key[older] + offset.
 
-    ``order`` stably sorts ``key``. ``sources`` ascend, so pairs come out
-    sorted by (older, newer): the older node is the outer loop.
+    Pairs come out sorted by (older, newer): the older node is the outer loop.
     """
+    order = np.argsort(key, kind="stable")
     sorted_keys = key[order]
-    wanted = key[sources] + offset
+    wanted = key + offset
     first = np.searchsorted(sorted_keys, wanted, "left")
     matched = np.searchsorted(sorted_keys, wanted, "right") - first
-    older = np.repeat(sources, matched)
+    older = np.repeat(np.arange(key.size), matched)
     skip = np.repeat(first - (np.cumsum(matched) - matched), matched)
-    return older, order[skip + np.arange(older.size)], matched
+    return older, order[skip + np.arange(older.size)]
 
 
 # --- JSON export ----------------------------------------------------------------

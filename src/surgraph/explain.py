@@ -20,7 +20,15 @@ from scipy.special import xlogy
 
 from .dynamic_graph import EDGE_KINDS, EDGE_SPATIAL, EDGE_TEMPORAL, DynamicGraph
 from .errors import NonFiniteLoss, NotTrained
-from .gcn import GcnModel, Workspace, forward, loss_and_edge_gradient
+from .gcn import (
+    AdamHyper,
+    AdamState,
+    GcnModel,
+    Workspace,
+    adam_update,
+    forward,
+    loss_and_edge_gradient,
+)
 from .ingest import LabelMap, atomic_write
 
 __all__ = [
@@ -124,9 +132,8 @@ def explain_prediction(
         )
 
     m = np.zeros(len(ends))
-    adam_m = np.zeros_like(m)
-    adam_v = np.zeros_like(m)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    adam = AdamState(m=np.zeros_like(m), v=np.zeros_like(m))
+    hyper = AdamHyper(lr=cfg.lr)
     prev_loss = np.inf
     converged = False
     workspace = Workspace()
@@ -134,11 +141,7 @@ def explain_prediction(
         loss, grad = _objective(model, graph, m, target, cfg.sparsity, cfg.entropy, workspace)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"explainer loss {loss} at iteration {it}")
-        adam_m = beta1 * adam_m + (1 - beta1) * grad
-        adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
-        m_hat = adam_m / (1 - beta1**it)
-        v_hat = adam_v / (1 - beta2**it)
-        m = m - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_update(m, grad, adam, hyper)
         converged = abs(prev_loss - loss) < 1e-6
         prev_loss = loss
 

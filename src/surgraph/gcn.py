@@ -232,19 +232,16 @@ def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
 
 
 def gcn_layer_forward(
-    h: np.ndarray,
-    anorm: SparseAdjacency,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    apply_relu: bool = True,
+    h: np.ndarray, anorm: SparseAdjacency, weight: np.ndarray, bias: np.ndarray
 ) -> np.ndarray:
-    """relu(Anorm @ h @ W + b), bias broadcast over nodes."""
-    if h.shape[1] != weight.shape[0]:
-        raise ShapeMismatch(f"features {h.shape} do not chain with weight {weight.shape}")
+    """relu(Anorm @ h @ W + b), bias broadcast over nodes.
+
+    Runs the kernel's own layer step into fresh buffers.
+    """
     if weight.shape[1] != bias.shape[0]:
         raise ShapeMismatch(f"bias {bias.shape} does not match weight {weight.shape}")
-    z = anorm.apply(h @ weight) + bias
-    return np.maximum(z, 0.0) if apply_relu else z
+    shape = (h.shape[0], weight.shape[1])
+    return _layer_forward(h, anorm, weight, bias, np.empty(shape), np.empty(shape))
 
 
 def global_add_pool(h: np.ndarray) -> np.ndarray:
@@ -339,11 +336,6 @@ def loss_and_edge_gradient(
     return loss, r[i, j] * np.sqrt(s_diag[i] * s_diag[j]) + t[i] + t[j]
 
 
-def backward(model: GcnModel, graph, label: int) -> Gradients:
-    """Gradient of cross_entropy(softmax(logits), label) for every parameter."""
-    return loss_and_gradients(model, graph, label)[1]
-
-
 def _check_features(model, x):
     if x.shape[0] == 0:
         raise EmptyGraph("graph has no nodes")
@@ -431,18 +423,21 @@ def _forward_cached(model, x, anorm, views):
     """
     h = x
     for weight, bias, m, out in zip(model.weights, model.biases, views.m, views.h):
-        if h.shape[1] != weight.shape[0]:
-            raise DimensionMismatch(
-                f"features {h.shape} do not chain with weight {weight.shape}"
-            )
-        np.matmul(h, weight, out=m)
-        np.add(anorm.apply(m), bias, out=out)
-        np.maximum(out, 0.0, out=out)
-        h = out
+        h = _layer_forward(h, anorm, weight, bias, m, out)
     pooled = global_add_pool(h)
     logits = pooled @ model.fc_weight + model.fc_bias
     probs = softmax(logits)
     return logits, probs, pooled
+
+
+def _layer_forward(h, anorm, weight, bias, m, out):
+    """One layer: m = h W, then out = relu(S m + b) in place; returns ``out``."""
+    if h.shape[1] != weight.shape[0]:
+        raise DimensionMismatch(f"features {h.shape} do not chain with weight {weight.shape}")
+    np.matmul(h, weight, out=m)
+    np.add(anorm.apply(m), bias, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def _head_backward(model, probs, label, dh):
@@ -484,9 +479,9 @@ class AdamHyper:
 
 @dataclass(eq=False)
 class AdamState:
-    """Adam's moments as flat vectors in the model's parameter order, and the step count.
+    """Adam's moments, flat vectors the size of the one they update, and the step count.
 
-    ``adam_step`` updates ``m``, ``v`` and ``t`` in place, using two scratch
+    ``adam_update`` updates ``m``, ``v`` and ``t`` in place, using two scratch
     vectors of the same size that the state allocates once.
     """
 
@@ -508,16 +503,24 @@ def adam_step(
 ) -> tuple[GcnModel, AdamState]:
     """One bias-corrected Adam update of ``model`` and ``state``, both in place.
 
-    Returns the same ``(model, state)``. Every array operation writes into
-    the parameters, ``m``, ``v`` or a scratch vector, in the order of
+    Returns the same ``(model, state)``; see ``adam_update``.
+    """
+    adam_update(model.vector, grads.vector, state, hyper or AdamHyper())
+    return model, state
+
+
+def adam_update(p: np.ndarray, g: np.ndarray, state: AdamState, hyper: AdamHyper) -> None:
+    """One bias-corrected Adam update of the flat vector ``p`` and ``state``, in place.
+
+    Every array operation writes into ``p``, ``m``, ``v`` or a scratch
+    vector, in the order of
 
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
         p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
 
     so the result is bitwise that of evaluating these per array.
     """
-    hyper = hyper or AdamHyper()
-    p, g, m, v = model.vector, grads.vector, state.m, state.v
+    m, v = state.m, state.v
     if g.shape != p.shape:
         raise ShapeMismatch(f"gradient of shape {g.shape} for {p.size} parameters")
     state.t += 1
@@ -535,7 +538,6 @@ def adam_step(
     r += hyper.eps
     s /= r
     p -= s
-    return model, state
 
 
 # --- checkpoints -------------------------------------------------------------------

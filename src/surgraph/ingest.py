@@ -35,6 +35,7 @@ from .errors import (
     NonContiguousIds,
     NonFiniteEmbedding,
     NonMonotonicFrames,
+    OutOfRange,
     OversizeDimension,
     TrailingBytes,
     TruncatedFile,
@@ -351,9 +352,16 @@ VALID_SPLITS = ("train", "val", "test")
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a dataset manifest and verify that referenced paths exist."""
+    """Load a dataset manifest and verify that referenced paths exist.
+
+    Raises OutOfRange, naming the manifest, for an ``fps`` below 1.
+    """
     path = Path(path)
     raw = json.loads(path.read_text())
+    given_fps = raw.get("fps", 1)
+    fps = int(given_fps)
+    if fps < 1:
+        raise OutOfRange(f"{path}: fps {given_fps} must be at least 1")
     base = path.parent
     videos = []
     for entry in raw["videos"]:
@@ -378,7 +386,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 embeddings=embeddings,
             )
         )
-    return DatasetManifest(fps=int(raw.get("fps", 1)), videos=tuple(videos))
+    return DatasetManifest(fps=fps, videos=tuple(videos))
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -1,9 +1,11 @@
 """Static scene graphs from segmentation masks.
 
 A mask is decomposed into segments (one per class present, or one per
-4-connected component), segments become nodes carrying feature vectors, and
-two nodes are joined by an undirected edge when their pixel regions touch.
-All operations are pure and deterministic.
+connected component) by ``extract_segments``, which returns them as arrays
+(``Segments``) with an image of each pixel's segment. Segment k becomes
+node k, carrying a feature vector, and two nodes are joined by an
+undirected edge when their pixel regions touch in that image. All
+operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -83,21 +85,34 @@ class FeatureConfig:
         return blocks
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A region of the mask assigned one class."""
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """A mask's segments as arrays; row k is segment k, which becomes node k.
 
-    class_id: int
-    pixel_count: int
-    centroid: tuple[float, float]
-    component_index: int = 0
-    bounding_box: tuple[int, int, int, int] = (0, 0, 0, 0)
+    Rows are in ascending (class_id, component_index) order: ``class_ids``,
+    ``pixel_counts`` and ``component_index`` (int64) and ``centroids``
+    (n x 2, normalized (cx, cy) of the pixel centers). ``index_image`` is
+    the mask-shaped int32 image of each pixel's row, -1 where its region
+    was dropped; ``connectivity`` (4 or 8) is the one its components and
+    edges use.
+    """
 
-    def key(self, mode: str) -> str:
-        """Embedding-table key for this segment."""
+    class_ids: np.ndarray
+    pixel_counts: np.ndarray
+    centroids: np.ndarray
+    component_index: np.ndarray
+    index_image: np.ndarray
+    connectivity: int
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def keys(self, mode: str) -> list[str]:
+        """Embedding-table key of each segment."""
+        classes = self.class_ids.tolist()
         if mode == SEGMENT_MODE_COMPONENT:
-            return f"seg_{self.class_id}_{self.component_index}"
-        return f"seg_{self.class_id}"
+            return [f"seg_{c}_{k}" for c, k in zip(classes, self.component_index.tolist())]
+        return [f"seg_{c}" for c in classes]
 
 
 @dataclass(frozen=True)
@@ -183,38 +198,63 @@ class SceneGraph(GraphArrays):
     frame_index: int
 
 
-def extract_segments(mask: SegmentationMask, cfg: FeatureConfig) -> list[Segment]:
+def extract_segments(mask: SegmentationMask, cfg: FeatureConfig) -> Segments:
     """Segment the mask per the config's mode and pixel threshold.
 
     Per-class-region mode yields at most one segment per class (the union of
     that class's pixels); per-component mode yields one segment per
-    4-connected component. Segments smaller than ``min_segment_pixels`` are
-    dropped. Raises EmptyMask when nothing survives.
+    connected component (4- or 8-connected, per config). Segments smaller
+    than ``min_segment_pixels`` are dropped. Raises EmptyMask when nothing
+    survives.
     """
-    segments, _ = _segments_with_index_image(mask, cfg)
-    if not segments:
+    ids = mask.class_ids
+    index_image = np.full(ids.shape, -1, dtype=np.int32)
+    class_ids, counts, centroids, components = [], [], [], []
+    structure = _FOUR_CONNECTED if cfg.connectivity == 4 else _EIGHT_CONNECTED
+
+    # A region below the threshold cannot yield a segment, so only classes
+    # and components with enough pixels are visited at all.
+    threshold = max(cfg.min_segment_pixels, 1)
+    class_counts = np.bincount(ids.ravel())
+    for class_id in np.flatnonzero(class_counts >= threshold).tolist():
+        class_mask = ids == class_id
+        if cfg.segment_mode == SEGMENT_MODE_CLASS:
+            regions = [(class_mask, int(class_counts[class_id]))]
+        else:
+            labelled, _ = ndimage.label(class_mask, structure=structure)
+            sizes = np.bincount(labelled.ravel())
+            kept = np.flatnonzero(sizes[1:] >= threshold) + 1  # label 0 is background
+            regions = [(labelled == lab, int(sizes[lab])) for lab in kept.tolist()]
+        for component, (region, count) in enumerate(regions):
+            ys, xs = np.nonzero(region)
+            index_image[ys, xs] = len(class_ids)
+            class_ids.append(class_id)
+            counts.append(count)
+            components.append(component)
+            # Pixel centers: pixel (x, y) sits at ((x + 0.5) / W, (y + 0.5) / H).
+            centroids.append(((xs + 0.5).mean() / mask.width, (ys + 0.5).mean() / mask.height))
+    if not class_ids:
         raise EmptyMask(f"frame {mask.frame_index}: no segment >= {cfg.min_segment_pixels} px")
-    return segments
+    return Segments(
+        class_ids=np.array(class_ids, dtype=np.int64),
+        pixel_counts=np.array(counts, dtype=np.int64),
+        centroids=np.array(centroids, dtype=np.float64),
+        component_index=np.array(components, dtype=np.int64),
+        index_image=index_image,
+        connectivity=cfg.connectivity,
+    )
 
 
-def compute_adjacency(
-    mask: SegmentationMask,
-    segments: list[Segment],
-    cfg: FeatureConfig | None = None,
-) -> list[tuple[int, int]]:
+def compute_adjacency(segments: Segments) -> list[tuple[int, int]]:
     """Undirected edges between segments whose pixels touch.
 
     Edge (i, j) exists iff some pixel of segment i is a 4-neighbour (or
-    8-neighbour, per config) of some pixel of segment j. Edges are returned
-    sorted by (min, max) node index.
+    8-neighbour, per the segments' connectivity) of some pixel of segment
+    j. Edges are returned sorted by (min, max) node index.
     """
-    cfg = cfg or FeatureConfig()
-    rebuilt, index_image = _segments_with_index_image(mask, cfg)
-    if [s.class_id for s in rebuilt] != [s.class_id for s in segments] or [
-        s.component_index for s in rebuilt
-    ] != [s.component_index for s in segments]:
-        raise ValueError("segments were not extracted from this mask/config")
-    edge_index = _edges_from_index_image(index_image, cfg.connectivity, len(rebuilt))
+    edge_index = _edges_from_index_image(
+        segments.index_image, segments.connectivity, len(segments)
+    )
     return list(map(tuple, edge_index.tolist()))
 
 
@@ -237,11 +277,6 @@ def spatial_encoding(cx: float, cy: float) -> np.ndarray:
     return out
 
 
-def segment_size(segment: Segment, mask: SegmentationMask) -> float:
-    """Relative segment area: pixel count over mask area, in (0, 1]."""
-    return segment.pixel_count / (mask.width * mask.height)
-
-
 def build_static_graph(
     mask: SegmentationMask,
     embeddings: EmbeddingTable | None = None,
@@ -257,12 +292,10 @@ def build_static_graph(
     if cfg.use_embedding and (embeddings is None or embeddings.empty):
         # An absent table disables the block rather than zero-filling 100 dims.
         cfg = replace(cfg, use_embedding=False)
-    segments, index_image = _segments_with_index_image(mask, cfg)
-    if not segments:
-        raise EmptyMask(f"frame {mask.frame_index}: no segment >= {cfg.min_segment_pixels} px")
+    segments = extract_segments(mask, cfg)
     n = len(segments)
-    class_ids = np.array([seg.class_id for seg in segments], dtype=np.int64)
-    sizes = np.array([segment_size(seg, mask) for seg in segments], dtype=np.float64)
+    class_ids = segments.class_ids
+    sizes = segments.pixel_counts / (mask.width * mask.height)
 
     slices = cfg.block_slices()
     x = np.zeros((n, cfg.feature_dim))
@@ -272,13 +305,13 @@ def build_static_graph(
             raise OutOfRange(f"class id {outside[0]} outside one-hot of {cfg.num_classes}")
         x[np.arange(n), slices["class"].start + class_ids] = 1.0
     if cfg.use_spatial:
-        for row, seg in zip(x, segments):
-            row[slices["spatial"]] = spatial_encoding(*seg.centroid)
+        for row, (cx, cy) in zip(x, segments.centroids.tolist()):
+            row[slices["spatial"]] = spatial_encoding(cx, cy)
     if cfg.use_size:
         x[:, slices["size"]] = sizes[:, None]
     if cfg.use_embedding:
-        for row, seg in zip(x, segments):
-            vec = embeddings.vector(mask.frame_index, seg.key(cfg.segment_mode))
+        for row, key in zip(x, segments.keys(cfg.segment_mode)):
+            vec = embeddings.vector(mask.frame_index, key)
             if vec.shape[0] != cfg.embedding_dim:
                 raise MissingFrameKey(
                     f"embedding length {vec.shape[0]} != configured {cfg.embedding_dim}"
@@ -287,10 +320,10 @@ def build_static_graph(
     return SceneGraph(
         x=x,
         class_ids=class_ids,
-        centroids=np.array([seg.centroid for seg in segments], dtype=np.float64),
+        centroids=segments.centroids,
         sizes=sizes,
-        component_index=np.array([seg.component_index for seg in segments], dtype=np.int64),
-        edge_index=_edges_from_index_image(index_image, cfg.connectivity, n),
+        component_index=segments.component_index,
+        edge_index=_edges_from_index_image(segments.index_image, segments.connectivity, n),
         config=cfg,
         frame_index=mask.frame_index,
     )
@@ -376,51 +409,6 @@ def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
-
-def _segments_with_index_image(
-    mask: SegmentationMask, cfg: FeatureConfig
-) -> tuple[list[Segment], np.ndarray]:
-    """Surviving segments plus a (h, w) image of node indices (-1 = dropped)."""
-    ids = mask.class_ids
-    index_image = np.full(ids.shape, -1, dtype=np.int32)
-    segments: list[Segment] = []
-    structure = _FOUR_CONNECTED if cfg.connectivity == 4 else _EIGHT_CONNECTED
-
-    # A region below the threshold cannot yield a segment, so only classes
-    # and components with enough pixels are visited at all.
-    threshold = max(cfg.min_segment_pixels, 1)
-    class_counts = np.bincount(ids.ravel())
-    for class_id in np.flatnonzero(class_counts >= threshold).tolist():
-        class_mask = ids == class_id
-        if cfg.segment_mode == SEGMENT_MODE_CLASS:
-            regions = [(class_mask, int(class_counts[class_id]))]
-        else:
-            labelled, _ = ndimage.label(class_mask, structure=structure)
-            sizes = np.bincount(labelled.ravel())
-            kept = np.flatnonzero(sizes[1:] >= threshold) + 1  # label 0 is background
-            regions = [(labelled == lab, int(sizes[lab])) for lab in kept.tolist()]
-        for component, (region, count) in enumerate(regions):
-            segments.append(_segment_from_region(region, class_id, component, mask, count))
-            index_image[region] = len(segments) - 1
-    return segments, index_image
-
-
-def _segment_from_region(
-    region: np.ndarray, class_id: int, component: int, mask: SegmentationMask, count: int
-) -> Segment:
-    ys, xs = np.nonzero(region)
-    # Pixel centers: pixel (x, y) sits at ((x + 0.5) / W, (y + 0.5) / H).
-    cx = float((xs + 0.5).mean() / mask.width)
-    cy = float((ys + 0.5).mean() / mask.height)
-    bbox = (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
-    return Segment(
-        class_id=class_id,
-        pixel_count=count,
-        centroid=(cx, cy),
-        component_index=component,
-        bounding_box=bbox,
-    )
 
 
 def _edges_from_index_image(

@@ -65,7 +65,7 @@ def _verdict(report, number, name, ok, detail=""):
 
 def _pixel_pair_adjacency(mask, segments):
     """Brute force: walk every pixel, look right and down, record class pairs."""
-    rank = {seg.class_id: k for k, seg in enumerate(segments)}
+    rank = {c: k for k, c in enumerate(segments.class_ids.tolist())}
     ids = mask.class_ids
     h, w = ids.shape
     touching = set()
@@ -89,7 +89,7 @@ def test_adjacency_matches_pixel_pair_oracle(report):
     for _ in range(500):
         mask = random_mask(rng, max_side=32, max_classes=8)
         segments = extract_segments(mask, cfg)
-        if compute_adjacency(mask, segments, cfg) != _pixel_pair_adjacency(mask, segments):
+        if compute_adjacency(segments) != _pixel_pair_adjacency(mask, segments):
             mismatches += 1
     elapsed = time.monotonic() - t0
     _verdict(

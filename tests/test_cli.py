@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import surgraph.pipeline
 from surgraph.cli import run
 from surgraph.gcn import GcnConfig, init_model, save_checkpoint
 from surgraph.ingest import list_mask_files, load_manifest, load_mask
@@ -279,6 +280,35 @@ def test_failed_build_graphs_removes_outputs(dataset, tmp_path):
     finally:
         victim.write_bytes(original)
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-graphs", "ablate"])
+def test_zero_fps_manifest_exits_2_before_any_work(dataset, tmp_path, monkeypatch, capsys, command):
+    raw = json.loads(dataset.read_text())
+    for video in raw["videos"]:
+        for key in ("mask_dir", "phase_csv"):
+            video[key] = str(dataset.parent / video[key])
+    raw["fps"] = 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a manifest with fps 0")
+
+    for name in ("load_static_graphs", "build_samples", "fit"):
+        monkeypatch.setattr(surgraph.pipeline, name, refuse)
+    out = tmp_path / "out"
+    if command == "build-graphs":
+        argv = ["build-graphs", "--manifest", str(manifest), "--out", str(out),
+                "--mode", "dynamic", "--window", "3"]
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([TrainConfig(feature_config=FeatureConfig()).to_json()]))
+        argv = ["ablate", "--manifest", str(manifest), "--grid", str(grid),
+                "--out-csv", str(out)]
+    assert run(argv) == 2
+    assert f"{manifest}: fps 0 must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

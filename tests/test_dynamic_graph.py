@@ -104,17 +104,8 @@ def test_temporal_edges_same_class_consecutive_only():
         (idx[(0, 0)], idx[(1, 0)]),
         (idx[(1, 0)], idx[(2, 0)]),
     }
-    # class 7 disappears at t=1, so no skip-step edge by default
+    # class 7 disappears at t=1, so no skip-step edge
     assert (idx[(0, 7)], idx[(2, 7)]) not in temporal
-
-
-def test_bridge_single_gap():
-    wcfg = WindowConfig(window=3, bridge_single_gap=True)
-    dyn = _window([FRAME_07, FRAME_0, FRAME_07], wcfg=wcfg)
-    idx = {(n.t, n.class_id): i for i, n in enumerate(dyn.nodes)}
-    temporal = set(dyn.temporal_edges())
-    assert (idx[(0, 7)], idx[(2, 7)]) in temporal
-    assert len(temporal) == 3
 
 
 def test_single_step_window_is_static_plus_r1():
@@ -238,11 +229,9 @@ def reference_window(graphs, cfg):
                 features[temporal_slice] = encoding
             nodes.append(dataclasses.replace(record, features=features, t=t))
 
-    def matches(older, newer, off_a, off_b, only=None):
+    def matches(older, newer, off_a, off_b):
         out = []
         for i, a in enumerate(older.nodes):
-            if only is not None and a.class_id not in only:
-                continue
             for j, b in enumerate(newer.nodes):
                 if a.class_id == b.class_id:
                     out.append((off_a + i, off_b + j, EDGE_TEMPORAL))
@@ -254,13 +243,6 @@ def reference_window(graphs, cfg):
             edges.append((offsets[t] + i, offsets[t] + j, EDGE_SPATIAL))
         if t + 1 < steps:
             edges.extend(matches(graphs[t], graphs[t + 1], offsets[t], offsets[t + 1]))
-            if cfg.bridge_single_gap and t + 2 < steps:
-                absent = {n.class_id for n in graphs[t].nodes} - {
-                    n.class_id for n in graphs[t + 1].nodes
-                }
-                edges.extend(
-                    matches(graphs[t], graphs[t + 2], offsets[t], offsets[t + 2], only=absent)
-                )
     center = cfg.label_policy == "center"
     label_frame = graphs[steps // 2 if center else -1].frame_index
     return nodes, edges, label_frame
@@ -335,13 +317,12 @@ def _random_graphs(rng, frames, cfg, max_classes=6):
 FULL = FeatureConfig(num_classes=8, use_spatial=True, use_size=True, use_temporal=True,
                      min_segment_pixels=2)
 REFERENCE_CASES = {
-    "bridge": (FULL, WindowConfig(window=6, dilation=2, bridge_single_gap=True), range(0, 12, 2)),
+    "alternate-frames": (FULL, WindowConfig(window=6, dilation=2), range(0, 12, 2)),
     "center": (FULL, WindowConfig(window=5, dilation=1, label_policy="center"), range(5)),
-    "missing-frames": (FULL, WindowConfig(window=8, dilation=1, bridge_single_gap=True),
-                       [0, 1, 3, 4, 7]),
+    "missing-frames": (FULL, WindowConfig(window=8, dilation=1), [0, 1, 3, 4, 7]),
     "per-component": (
         dataclasses.replace(FULL, segment_mode=SEGMENT_MODE_COMPONENT, connectivity=8),
-        WindowConfig(window=4, dilation=1, bridge_single_gap=True), range(4),
+        WindowConfig(window=4, dilation=1), range(4),
     ),
     "no-temporal-block": (dataclasses.replace(FULL, use_temporal=False),
                           WindowConfig(window=4, dilation=3), range(0, 12, 3)),
@@ -359,11 +340,10 @@ def test_window_matches_reference(case):
 
 def test_window_of_frames_without_edges_matches_reference():
     # one class per frame: no spatial edges, only temporal chains
-    graphs = [_graph(rows, f, CFG) for f, rows in enumerate([FRAME_0, [[7, 7]], FRAME_0])]
-    wcfg = WindowConfig(window=3, bridge_single_gap=True)
-    dyn, _, _ = assert_matches_reference(graphs, wcfg)
+    graphs = [_graph(rows, f, CFG) for f, rows in enumerate([FRAME_0, FRAME_0, [[7, 7]]])]
+    dyn, _, _ = assert_matches_reference(graphs, WindowConfig(window=3))
     assert dyn.spatial_edges() == []
-    assert dyn.temporal_edges() == [(0, 2)]
+    assert dyn.temporal_edges() == [(0, 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,10 +352,9 @@ def test_window_of_frames_without_edges_matches_reference():
         st.lists(st.integers(0, 4), min_size=1, max_size=5), min_size=1, max_size=6
     ),
     per_component=st.booleans(),
-    bridge=st.booleans(),
     temporal=st.booleans(),
 )
-def test_window_matches_reference_on_random_class_lists(frames, per_component, bridge, temporal):
+def test_window_matches_reference_on_random_class_lists(frames, per_component, temporal):
     cfg = FeatureConfig(
         num_classes=5,
         use_size=True,
@@ -387,7 +366,7 @@ def test_window_matches_reference_on_random_class_lists(frames, per_component, b
         build_static_graph(stripe_mask(classes, width=3, rows_per_class=1, frame_index=f), cfg=cfg)
         for f, classes in enumerate(frames)
     ]
-    assert_matches_reference(graphs, WindowConfig(window=len(frames), bridge_single_gap=bridge))
+    assert_matches_reference(graphs, WindowConfig(window=len(frames)))
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -485,11 +464,10 @@ def video_graphs(draw):
     static=video_graphs(),
     window=st.integers(1, 5),
     dilation=st.integers(1, 3),
-    bridge=st.booleans(),
 )
-def test_window_text_equals_json_dumps(static, window, dilation, bridge):
+def test_window_text_equals_json_dumps(static, window, dilation):
     text = WindowText(static)
-    wcfg = WindowConfig(window=window, dilation=dilation, bridge_single_gap=bridge)
+    wcfg = WindowConfig(window=window, dilation=dilation)
     for frame in sorted(static):
         graphs = [static[i] for i in select_window(frame, window, dilation) if i in static]
         dyn = build_dynamic_graph(graphs, wcfg)

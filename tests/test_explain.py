@@ -230,6 +230,47 @@ def test_explanation_matches_dense_reference(n):
     np.testing.assert_allclose(expl.node_importance, node_importance, rtol=0, atol=1e-12)
 
 
+def _allocating_adam_explanation(model, graph, cfg):
+    """explain_prediction as it ran with its own allocating Adam, verbatim."""
+    _, probs, target = forward(model, graph)
+    ends = np.asarray(graph.edge_index, dtype=np.int64).reshape(-1, 2)
+    node_importance = np.zeros(graph.x.shape[0])
+    m = np.zeros(len(ends))
+    adam_m = np.zeros_like(m)
+    adam_v = np.zeros_like(m)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    prev_loss = np.inf
+    converged = False
+    workspace = Workspace()
+    for it in range(1, cfg.iterations + 1):
+        loss, grad = _objective(model, graph, m, target, cfg.sparsity, cfg.entropy, workspace)
+        adam_m = beta1 * adam_m + (1 - beta1) * grad
+        adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+        m_hat = adam_m / (1 - beta1**it)
+        v_hat = adam_v / (1 - beta2**it)
+        m = m - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        converged = abs(prev_loss - loss) < 1e-6
+        prev_loss = loss
+
+    importance = _sigmoid(m)
+    np.maximum.at(node_importance, ends[:, 0], importance)
+    np.maximum.at(node_importance, ends[:, 1], importance)
+    return target, importance, node_importance, converged
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_explanation_matches_allocating_adam_loop_bitwise(n):
+    model, graph, _ = _random_case(n, seed=n)
+    cfg = ExplainConfig(iterations=70)
+    expl = explain_prediction(model, graph, cfg)
+    target, importance, node_importance, converged = _allocating_adam_explanation(
+        model, graph, cfg
+    )
+    assert (expl.target_class, expl.converged) == (target, converged)
+    assert expl.edge_importance.tobytes() == importance.tobytes()
+    assert expl.node_importance.tobytes() == node_importance.tobytes()
+
+
 def test_one_workspace_across_graph_sizes_matches_fresh_edge_gradients_bitwise():
     model, _ = _window_case(60, 1)
     workspace = Workspace()

@@ -23,7 +23,6 @@ from surgraph.gcn import (
     Gradients,
     Workspace,
     adam_step,
-    backward,
     forward,
     gcn_layer_forward,
     global_add_pool,
@@ -262,8 +261,9 @@ def test_layer_forward_matches_dense_formula():
     out = gcn_layer_forward(g.x, anorm, w, b)
     expected = np.maximum(anorm.to_dense() @ (g.x @ w) + b, 0.0)
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    linear = gcn_layer_forward(g.x, anorm, w, b, apply_relu=False)
+    linear = anorm.apply(g.x @ w) + b
     np.testing.assert_allclose(linear, anorm.to_dense() @ (g.x @ w) + b, atol=1e-12)
+    np.testing.assert_array_equal(out, np.maximum(linear, 0.0))
 
 
 def test_global_add_pool():
@@ -357,7 +357,6 @@ def test_backward_on_dynamic_style_edges():
         return loss, grads.to_vector()
 
     assert grad_check(f, model.to_vector()) < 1e-6
-    assert backward(model, kinds, 2) is not None
 
 
 def test_adam_zero_gradient_is_identity():

@@ -12,6 +12,7 @@ from surgraph.errors import (
     NonContiguousIds,
     NonFiniteEmbedding,
     NonMonotonicFrames,
+    OutOfRange,
     OversizeDimension,
     SurgraphError,
     TrailingBytes,
@@ -260,6 +261,18 @@ def test_manifest_bad_split(tmp_path):
         '"phase_csv": "a/phases.csv", "split": "holdout"}]}'
     )
     with pytest.raises(ValueError):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("fps", [0, -3, 0.5])
+def test_manifest_rejects_fps_below_one(tmp_path, fps):
+    mdir, csv = _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    path.write_text(
+        f'{{"fps": {fps}, "videos": [{{"id": "a", "mask_dir": "a/masks", '
+        '"phase_csv": "a/phases.csv", "split": "train"}]}'
+    )
+    with pytest.raises(OutOfRange, match=f"{path}: fps {fps} must be at least 1"):
         load_manifest(path)
 
 

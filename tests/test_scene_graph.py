@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from scipy import ndimage
 from surgraph.errors import DuplicateEntry, EmptyMask, OutOfRange
 from surgraph.ingest import EmbeddingTable, SegmentationMask
 from surgraph.scene_graph import (
+    SEGMENT_MODE_CLASS,
     SEGMENT_MODE_COMPONENT,
     FeatureConfig,
     NodeRecord,
-    Segment,
     build_static_graph,
     compute_adjacency,
     extract_segments,
     graph_from_json,
     graph_to_json,
-    segment_size,
     spatial_encoding,
 )
 
@@ -34,23 +34,24 @@ SMALL = [[0, 0, 7], [0, 4, 7]]
 
 def test_segments_threshold_one():
     segs = extract_segments(_mask(SMALL), FeatureConfig(min_segment_pixels=1))
-    assert [(s.class_id, s.pixel_count) for s in segs] == [(0, 3), (4, 1), (7, 2)]
+    pairs = list(zip(segs.class_ids.tolist(), segs.pixel_counts.tolist()))
+    assert pairs == [(0, 3), (4, 1), (7, 2)]
 
 
 def test_segments_threshold_two_drops_singleton():
     segs = extract_segments(_mask(SMALL), FeatureConfig(min_segment_pixels=2))
-    assert [s.class_id for s in segs] == [0, 7]
+    assert segs.class_ids.tolist() == [0, 7]
 
 
 def test_single_pixel_centroid():
     segs = extract_segments(_mask([[3]]), FeatureConfig(min_segment_pixels=1))
-    assert segs[0].centroid == (0.5, 0.5)
+    assert segs.centroids[0].tolist() == [0.5, 0.5]
 
 
 def test_centroid_is_mean_of_pixel_centers():
     # class 7 occupies the full right column of the 2x3 mask
     segs = extract_segments(_mask(SMALL), FeatureConfig(min_segment_pixels=1))
-    cx, cy = segs[2].centroid
+    cx, cy = segs.centroids[2]
     assert cx == pytest.approx(2.5 / 3)
     assert cy == pytest.approx(0.5)
 
@@ -58,15 +59,14 @@ def test_centroid_is_mean_of_pixel_centers():
 def test_adjacency_small_mask():
     cfg = FeatureConfig(min_segment_pixels=1)
     mask = _mask(SMALL)
-    segs = extract_segments(mask, cfg)
-    edges = compute_adjacency(mask, segs, cfg)
+    edges = compute_adjacency(extract_segments(mask, cfg))
     assert edges == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_adjacency_single_pixel_no_edges():
     cfg = FeatureConfig(min_segment_pixels=1)
     mask = _mask([[1]])
-    assert compute_adjacency(mask, extract_segments(mask, cfg), cfg) == []
+    assert compute_adjacency(extract_segments(mask, cfg)) == []
 
 
 def test_uniform_mask_one_node_no_edges():
@@ -81,14 +81,14 @@ def test_adjacency_transpose_symmetry():
     for _ in range(20):
         mask = random_mask(rng, max_side=16, max_classes=6)
         segs = extract_segments(mask, cfg)
-        edges = set(compute_adjacency(mask, segs, cfg))
+        edges = set(compute_adjacency(segs))
         tmask = SegmentationMask(
             mask.height, mask.width, np.ascontiguousarray(mask.class_ids.T)
         )
         tsegs = extract_segments(tmask, cfg)
-        tedges = set(compute_adjacency(tmask, tsegs, cfg))
+        tedges = set(compute_adjacency(tsegs))
         # per-class-region node order only depends on class ids present
-        assert [s.class_id for s in segs] == [s.class_id for s in tsegs]
+        assert segs.class_ids.tolist() == tsegs.class_ids.tolist()
         assert edges == tedges
 
 
@@ -96,11 +96,12 @@ def test_diagonal_needs_8_connectivity():
     mask = _mask([[1, 2], [2, 1]])
     cfg4 = FeatureConfig(min_segment_pixels=1)
     cfg8 = FeatureConfig(min_segment_pixels=1, connectivity=8)
-    assert compute_adjacency(mask, extract_segments(mask, cfg4), cfg4) == [(0, 1)]
-    assert compute_adjacency(mask, extract_segments(mask, cfg8), cfg8) == [(0, 1)]
+    assert compute_adjacency(extract_segments(mask, cfg4)) == [(0, 1)]
+    assert compute_adjacency(extract_segments(mask, cfg8)) == [(0, 1)]
     solo = _mask([[1, 3], [3, 2]])
-    assert (0, 1) not in compute_adjacency(solo, extract_segments(solo, cfg4), cfg4)
-    assert (0, 1) in compute_adjacency(solo, extract_segments(solo, cfg8), cfg8)
+    assert (0, 1) not in compute_adjacency(extract_segments(solo, cfg4))
+    assert (0, 1) in compute_adjacency(extract_segments(solo, cfg8))
+    assert extract_segments(solo, cfg8).connectivity == 8
 
 
 def test_spatial_encoding_origin():
@@ -130,15 +131,6 @@ def test_spatial_encoding_out_of_range():
         spatial_encoding(-0.1, 0.5)
     with pytest.raises(OutOfRange):
         spatial_encoding(0.5, 1.1)
-
-
-def test_segment_size_values():
-    seg = Segment(0, 50, (0.5, 0.5), 0, (0, 0, 10, 10))
-    assert segment_size(seg, SegmentationMask(10, 10, np.zeros((10, 10), np.uint8))) == 0.5
-    seg = Segment(0, 100, (0.5, 0.5), 0, (0, 0, 10, 10))
-    assert segment_size(seg, SegmentationMask(10, 10, np.zeros((10, 10), np.uint8))) == 1.0
-    seg = Segment(0, 1, (0.5, 0.5), 0, (0, 0, 1, 1))
-    assert segment_size(seg, SegmentationMask(100, 100, np.zeros((100, 100), np.uint8))) == 0.0001
 
 
 def test_build_static_graph_class_only():
@@ -213,9 +205,9 @@ def test_translation_moves_centroid_only():
     cfg = FeatureConfig(min_segment_pixels=1)
     a = extract_segments(_mask(base), cfg)
     b = extract_segments(_mask(shifted), cfg)
-    assert a[1].pixel_count == b[1].pixel_count
-    assert b[1].centroid[0] - a[1].centroid[0] == pytest.approx(5 / 16)
-    assert b[1].centroid[1] - a[1].centroid[1] == pytest.approx(4 / 16)
+    assert a.pixel_counts[1] == b.pixel_counts[1]
+    assert b.centroids[1, 0] - a.centroids[1, 0] == pytest.approx(5 / 16)
+    assert b.centroids[1, 1] - a.centroids[1, 1] == pytest.approx(4 / 16)
 
 
 def test_determinism():
@@ -234,11 +226,13 @@ def test_per_component_mode_splits_regions():
     arr[5, 5] = 9
     cfg = FeatureConfig(segment_mode=SEGMENT_MODE_COMPONENT, min_segment_pixels=1)
     segs = extract_segments(_mask(arr), cfg)
-    assert [(s.class_id, s.component_index) for s in segs] == [(5, 0), (9, 0), (9, 1)]
-    assert segs[1].key(cfg.segment_mode) == "seg_9_0"
+    assert list(zip(segs.class_ids.tolist(), segs.component_index.tolist())) == [
+        (5, 0), (9, 0), (9, 1)
+    ]
+    assert segs.keys(cfg.segment_mode)[1] == "seg_9_0"
     # per-class-region mode merges them back into one node
     merged = extract_segments(_mask(arr), FeatureConfig(min_segment_pixels=1))
-    assert [(s.class_id, s.pixel_count) for s in merged] == [(5, 34), (9, 2)]
+    assert list(zip(merged.class_ids.tolist(), merged.pixel_counts.tolist())) == [(5, 34), (9, 2)]
 
 
 def test_empty_mask_raises():
@@ -283,7 +277,7 @@ def test_json_rejects_bad_edges(extra, error, message):
 
 def reference_static_graph(mask, embeddings, cfg):
     """The per-node builder the arrays replaced: (NodeRecords, sorted edge tuples)."""
-    segments = extract_segments(mask, cfg)
+    segments, _ = reference_segments_with_index_image(mask, cfg)
     image = np.full(mask.class_ids.shape, -1)
     for k, seg in enumerate(segments):
         region = mask.class_ids == seg.class_id
@@ -315,7 +309,7 @@ def reference_static_graph(mask, embeddings, cfg):
             feat[slices["class"].start + seg.class_id] = 1.0
         if cfg.use_spatial:
             feat[slices["spatial"]] = spatial_encoding(*seg.centroid)
-        size = segment_size(seg, mask)
+        size = reference_segment_size(seg, mask)
         if cfg.use_size:
             feat[slices["size"]] = size
         if cfg.use_embedding:
@@ -418,18 +412,42 @@ def test_graph_arrays_are_read_only():
     assert graph.nodes is graph.nodes
 
 
-# --- segment loop against the loop it replaced ----------------------------------------
+# --- segment arrays against a naive per-segment loop --------------------------------
+# The reference visits every class and every component, counts each region's
+# pixels and only then drops the small ones; extract_segments skips small
+# classes and components before visiting them. Segment and _segment_from_region
+# are the per-segment records the arrays replaced.
+
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
-def reference_segments_with_index_image(mask, cfg):
+@dataclass(frozen=True)
+class Segment:
+    """A region of the mask assigned one class."""
+
+    class_id: int
+    pixel_count: int
+    centroid: tuple[float, float]
+    component_index: int = 0
+    bounding_box: tuple[int, int, int, int] = (0, 0, 0, 0)
+
+    def key(self, mode: str) -> str:
+        """Embedding-table key for this segment."""
+        if mode == SEGMENT_MODE_COMPONENT:
+            return f"seg_{self.class_id}_{self.component_index}"
+        return f"seg_{self.class_id}"
+
+
+def reference_segment_size(segment: Segment, mask: SegmentationMask) -> float:
+    """Relative segment area: pixel count over mask area, in (0, 1]."""
+    return segment.pixel_count / (mask.width * mask.height)
+
+
+def reference_segments_with_index_image(
+    mask: SegmentationMask, cfg: FeatureConfig
+) -> tuple[list[Segment], np.ndarray]:
     """The segment loop before it skipped small classes and components, verbatim."""
-    from surgraph.scene_graph import (
-        SEGMENT_MODE_CLASS,
-        _EIGHT_CONNECTED,
-        _FOUR_CONNECTED,
-        _segment_from_region,
-    )
-
     ids = mask.class_ids
     index_image = np.full(ids.shape, -1, dtype=np.int32)
     segments: list[Segment] = []
@@ -453,6 +471,23 @@ def reference_segments_with_index_image(mask, cfg):
     return segments, index_image
 
 
+def _segment_from_region(
+    region: np.ndarray, class_id: int, component: int, mask: SegmentationMask, count: int
+) -> Segment:
+    ys, xs = np.nonzero(region)
+    # Pixel centers: pixel (x, y) sits at ((x + 0.5) / W, (y + 0.5) / H).
+    cx = float((xs + 0.5).mean() / mask.width)
+    cy = float((ys + 0.5).mean() / mask.height)
+    bbox = (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return Segment(
+        class_id=class_id,
+        pixel_count=count,
+        centroid=(cx, cy),
+        component_index=component,
+        bounding_box=bbox,
+    )
+
+
 def _speckled_masks():
     import dataclasses
 
@@ -464,25 +499,44 @@ def _speckled_masks():
     return masks + [random_mask(rng, max_side=24, max_classes=17) for _ in range(12)]
 
 
+def assert_same_bits(got, want, dtype):
+    """``got`` has ``dtype`` and the bytes of ``want`` converted to it."""
+    want = np.asarray(want, dtype=dtype)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["per-class-region", SEGMENT_MODE_COMPONENT])
 @pytest.mark.parametrize("connectivity", [4, 8])
 @pytest.mark.parametrize("min_pixels", [0, 1, 10])
 def test_segments_match_reference_loop(mode, connectivity, min_pixels):
-    from surgraph.scene_graph import _edges_from_index_image, _segments_with_index_image
-
     cfg = FeatureConfig(
-        segment_mode=mode, connectivity=connectivity, min_segment_pixels=min_pixels
+        num_classes=17, use_spatial=True, use_size=True, use_embedding=True, embedding_dim=3,
+        segment_mode=mode, connectivity=connectivity, min_segment_pixels=min_pixels,
     )
+    rng = np.random.default_rng(29)
     for mask in _speckled_masks():
-        got, got_image = _segments_with_index_image(mask, cfg)
         want, want_image = reference_segments_with_index_image(mask, cfg)
-        assert got == want  # class, pixel count, centroid, component index, bounding box
-        for name in ("class_id", "centroid", "pixel_count", "component_index"):
-            assert np.array_equal(
-                [getattr(s, name) for s in got], [getattr(s, name) for s in want]
-            ), name
-        assert np.array_equal(got_image, want_image)
-        assert np.array_equal(
-            _edges_from_index_image(got_image, connectivity, len(got)),
-            _edges_from_index_image(want_image, connectivity, len(want)),
+        if not want:
+            with pytest.raises(EmptyMask):
+                extract_segments(mask, cfg)
+            continue
+        got = extract_segments(mask, cfg)
+        assert_same_bits(got.class_ids, [s.class_id for s in want], np.int64)
+        assert_same_bits(got.pixel_counts, [s.pixel_count for s in want], np.int64)
+        assert_same_bits(got.centroids, [s.centroid for s in want], np.float64)
+        assert_same_bits(got.component_index, [s.component_index for s in want], np.int64)
+        assert_same_bits(got.index_image, want_image, np.int32)
+        assert got.keys(mode) == [s.key(mode) for s in want]
+
+        table = EmbeddingTable(
+            {mask.frame_index: {s.key(mode): rng.normal(size=3) for s in want}}, 3
         )
+        graph = build_static_graph(mask, table, cfg)
+        nodes, edges = reference_static_graph(mask, table, cfg)
+        assert_same_bits(graph.x, [n.features for n in nodes], np.float64)
+        assert_same_bits(graph.class_ids, [n.class_id for n in nodes], np.int64)
+        assert_same_bits(graph.centroids, [n.centroid for n in nodes], np.float64)
+        assert_same_bits(graph.sizes, [n.size for n in nodes], np.float64)
+        assert_same_bits(graph.component_index, [n.component_index for n in nodes], np.int64)
+        assert_same_bits(graph.edge_index, np.array(edges).reshape(-1, 2), np.int64)
