@@ -31,7 +31,13 @@ from .explain import (
     write_explanation_json,
 )
 from .gcn import checkpoint_header, load_checkpoint, save_checkpoint
-from .ingest import atomic_write, default_label_map, load_label_map, load_manifest
+from .ingest import (
+    atomic_write,
+    checked_fps,
+    default_label_map,
+    load_label_map,
+    load_manifest,
+)
 from .pipeline import (
     TrainConfig,
     build_samples,
@@ -352,7 +358,7 @@ def cmd_synth(args) -> int:
             raise CliValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
         try:
             if isinstance(raw, dict) and "videos" in raw:
-                fps = int(raw.get("fps", 1))
+                fps = checked_fps(raw.get("fps", 1), args.config)
                 configs = [synth_config_from_json(v) for v in raw["videos"]]
             elif isinstance(raw, list):
                 configs = [synth_config_from_json(v) for v in raw]

@@ -6,7 +6,8 @@ File formats:
   * Label map: JSON array of ``{"id": int, "name": str}``.
   * Phase annotations: CSV with header ``frame,phase``.
   * Embeddings: JSON ``{frame_index: {segment_key: [floats]}}``.
-  * Manifest: JSON ``{"fps": int, "videos": [...]}``.
+  * Manifest: JSON ``{"fps": number, "videos": [...]}``; a frame rate
+    such as 29.97 is kept as given.
 
 Loading is pure: loaded objects are never mutated by other modules and class
 ids pass through bit-exact (no remapping at the I/O layer).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -173,7 +175,7 @@ class VideoEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    fps: int
+    fps: float
     videos: tuple[VideoEntry, ...]
 
 
@@ -354,14 +356,12 @@ VALID_SPLITS = ("train", "val", "test")
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset manifest and verify that referenced paths exist.
 
-    Raises OutOfRange, naming the manifest, for an ``fps`` below 1.
+    Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
+    finite number of at least 1 (see ``checked_fps``).
     """
     path = Path(path)
     raw = json.loads(path.read_text())
-    given_fps = raw.get("fps", 1)
-    fps = int(given_fps)
-    if fps < 1:
-        raise OutOfRange(f"{path}: fps {given_fps} must be at least 1")
+    fps = checked_fps(raw.get("fps", 1), path)
     base = path.parent
     videos = []
     for entry in raw["videos"]:
@@ -412,7 +412,23 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
             for v in manifest.videos
         ],
     }
-    path.write_text(json.dumps(raw, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(raw, indent=2) + "\n")
+
+
+def checked_fps(value, source: str | Path) -> float:
+    """A frame rate read from JSON ``source``, returned as given.
+
+    An int stays an int and a fractional rate such as 29.97 stays a float.
+    Raises OutOfRange, naming ``source``, for a bool, a non-number, a
+    non-finite value or a rate below 1.
+    """
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise OutOfRange(f"{source}: fps {value!r} is not a finite number")
+    if value < 1:
+        raise OutOfRange(f"{source}: fps {value} must be at least 1")
+    return value
 
 
 def list_mask_files(mask_dir: str | Path) -> list[tuple[int, Path]]:

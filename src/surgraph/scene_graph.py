@@ -6,12 +6,16 @@ connected component) by ``extract_segments``, which returns them as arrays
 node k, carrying a feature vector, and two nodes are joined by an
 undirected edge when their pixel regions touch in that image. All
 operations are pure and deterministic.
+
+Segments are read off bincounts over one label image, so a mask is walked
+a fixed number of times (plus one labelling pass per class in
+per-component mode), never once per segment, with O(H*W) transient memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -204,43 +208,50 @@ def extract_segments(mask: SegmentationMask, cfg: FeatureConfig) -> Segments:
     Per-class-region mode yields at most one segment per class (the union of
     that class's pixels); per-component mode yields one segment per
     connected component (4- or 8-connected, per config). Segments smaller
-    than ``min_segment_pixels`` are dropped. Raises EmptyMask when nothing
-    survives.
+    than ``min_segment_pixels`` are dropped. Raises EmptyMask, naming the
+    frame, when nothing survives, also when a class is large enough but
+    none of its components is.
+
+    The mask is walked a fixed number of times, plus one labelling pass
+    per class in per-component mode, never once per segment: every region
+    gets a label in one image (the class id itself, or a component label
+    offset per class), and pixel counts and centroid sums are bincounts
+    over that image. Transient memory is O(H*W). Each pixel center
+    (x + 0.5, y + 0.5) is a multiple of 0.5, so every centroid sum is exact
+    in float64 (for sides up to 2^17 px) whatever order it is added in; a
+    centroid is then ``(sum / count) / W``, the same two divisions as the
+    mean of the region's pixel centers over W.
     """
     ids = mask.class_ids
-    index_image = np.full(ids.shape, -1, dtype=np.int32)
-    class_ids, counts, centroids, components = [], [], [], []
-    structure = _FOUR_CONNECTED if cfg.connectivity == 4 else _EIGHT_CONNECTED
-
     # A region below the threshold cannot yield a segment, so only classes
-    # and components with enough pixels are visited at all.
+    # with enough pixels are labelled at all.
     threshold = max(cfg.min_segment_pixels, 1)
     class_counts = np.bincount(ids.ravel())
-    for class_id in np.flatnonzero(class_counts >= threshold).tolist():
-        class_mask = ids == class_id
-        if cfg.segment_mode == SEGMENT_MODE_CLASS:
-            regions = [(class_mask, int(class_counts[class_id]))]
-        else:
-            labelled, _ = ndimage.label(class_mask, structure=structure)
-            sizes = np.bincount(labelled.ravel())
-            kept = np.flatnonzero(sizes[1:] >= threshold) + 1  # label 0 is background
-            regions = [(labelled == lab, int(sizes[lab])) for lab in kept.tolist()]
-        for component, (region, count) in enumerate(regions):
-            ys, xs = np.nonzero(region)
-            index_image[ys, xs] = len(class_ids)
-            class_ids.append(class_id)
-            counts.append(count)
-            components.append(component)
-            # Pixel centers: pixel (x, y) sits at ((x + 0.5) / W, (y + 0.5) / H).
-            centroids.append(((xs + 0.5).mean() / mask.width, (ys + 0.5).mean() / mask.height))
-    if not class_ids:
+    if cfg.segment_mode == SEGMENT_MODE_CLASS:
+        labels, label_class, sizes = ids, np.arange(class_counts.size), class_counts
+    else:
+        labels, label_class = _component_labels(ids, class_counts >= threshold, cfg.connectivity)
+        sizes = np.bincount(labels.ravel(), minlength=label_class.size)
+    flat = labels.ravel()
+    kept = np.flatnonzero(sizes >= threshold)
+    if not kept.size:
         raise EmptyMask(f"frame {mask.frame_index}: no segment >= {cfg.min_segment_pixels} px")
+    row_of_label = np.full(label_class.size, -1, dtype=np.int32)
+    row_of_label[kept] = np.arange(kept.size, dtype=np.int32)
+    class_ids = label_class[kept].astype(np.int64)
+    counts = sizes[kept].astype(np.int64)
+    centers_x, centers_y = _pixel_centers(*ids.shape)
+    sum_x = np.bincount(flat, weights=centers_x, minlength=label_class.size)[kept]
+    sum_y = np.bincount(flat, weights=centers_y, minlength=label_class.size)[kept]
+    # Rows are sorted by class, so a row's component index is its distance
+    # from the first row of its class.
+    first_row = np.searchsorted(class_ids, class_ids)
     return Segments(
-        class_ids=np.array(class_ids, dtype=np.int64),
-        pixel_counts=np.array(counts, dtype=np.int64),
-        centroids=np.array(centroids, dtype=np.float64),
-        component_index=np.array(components, dtype=np.int64),
-        index_image=index_image,
+        class_ids=class_ids,
+        pixel_counts=counts,
+        centroids=np.stack([sum_x / counts / mask.width, sum_y / counts / mask.height], axis=1),
+        component_index=np.arange(kept.size, dtype=np.int64) - first_row,
+        index_image=row_of_label[labels],
         connectivity=cfg.connectivity,
     )
 
@@ -409,6 +420,41 @@ def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+
+def _component_labels(
+    ids: np.ndarray, visit: np.ndarray, connectivity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One label image for the connected components of the visited classes.
+
+    Class c owns the labels ``base[c] .. base[c] + n_c``, where ``n_c`` is
+    its number of components (0 unless ``visit[c]``): its components carry
+    ``base[c] + 1 ..`` in ``ndimage.label``'s order, and ``base[c]`` itself
+    marks its pixels when it is not visited. Returns the label image and
+    the class of each label.
+    """
+    structure = _FOUR_CONNECTED if connectivity == 4 else _EIGHT_CONNECTED
+    in_class = np.empty(ids.shape, dtype=bool)
+    scratch = np.empty(ids.shape, dtype=np.int32)
+    local = np.zeros(ids.shape, dtype=np.int32)
+    components = np.zeros(visit.size, dtype=np.intp)
+    for class_id in np.flatnonzero(visit).tolist():
+        np.equal(ids, class_id, out=in_class)
+        # label writes 0 outside the class, so adding keeps the other classes.
+        components[class_id] = ndimage.label(in_class, structure=structure, output=scratch)
+        local += scratch
+    owned = components + 1
+    base = np.cumsum(owned) - owned
+    return local + base[ids], np.repeat(np.arange(visit.size), owned)
+
+
+@lru_cache(maxsize=4)
+def _pixel_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat, read-only x + 0.5 and y + 0.5 of every pixel, in raster order."""
+    xs = np.tile(np.arange(width) + 0.5, height)
+    ys = np.repeat(np.arange(height) + 0.5, width)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def _edges_from_index_image(

@@ -403,7 +403,7 @@ def preset_planted_contact(
 # --- dataset emission ---------------------------------------------------------------
 
 def generate_dataset(
-    out_dir: str | Path, configs: list[SynthConfig], fps: int = 1
+    out_dir: str | Path, configs: list[SynthConfig], fps: float = 1
 ) -> tuple[Path, DatasetManifest]:
     """Write SGM1 masks, phase CSVs, and a manifest for a list of videos."""
     out_dir = Path(out_dir)

@@ -265,6 +265,51 @@ def test_ablate_writes_csv(dataset, tmp_path):
     assert lines[2].startswith("static,")
 
 
+def _synth_config(tmp_path, fps):
+    phases = [{"phase_id": 0, "duration": 6}, {"phase_id": 1, "duration": 6}]
+    videos = [
+        {"n_frames": 12, "phase_script": phases, "seed": i, "video_id": split, "split": split}
+        for i, split in enumerate(["train", "val", "test"])
+    ]
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"fps": fps, "videos": videos}))
+    return path
+
+
+def test_fractional_fps_reaches_context_seconds(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(_synth_config(tmp_path, 29.97)), "--out", str(data)]) == 0
+    manifest = data / "manifest.json"
+    assert '"fps": 29.97,' in manifest.read_text()
+    assert load_manifest(manifest).fps == 29.97
+
+    graphs = tmp_path / "graphs"
+    assert run(["build-graphs", "--manifest", str(manifest), "--out", str(graphs),
+                "--mode", "dynamic", "--window", "3", "--dilation", "2",
+                "--split", "test", "--num-classes", "17"]) == 0
+    window = json.loads(sorted(graphs.glob("*.json"))[-1].read_text())
+    assert window["context_s"] == 3 * 2 / 29.97
+
+    grid = tmp_path / "grid.json"
+    cell = TrainConfig(feature_config=FeatureConfig(num_classes=17), window=3, dilation=2,
+                       epochs=1, hidden_dims=(4,), patience=1)
+    grid.write_text(json.dumps([cell.to_json()]))
+    csv_path = tmp_path / "ablation.csv"
+    assert run(["ablate", "--manifest", str(manifest), "--grid", str(grid),
+                "--out-csv", str(csv_path)]) == 0
+    row = dict(zip(ABLATION_CSV_HEADER.split(","), csv_path.read_text().splitlines()[1].split(",")))
+    assert row["context_s"] == f"{3 * 2 / 29.97:g}" != f"{3 * 2 / 29:g}"
+
+
+@pytest.mark.parametrize("fps", [True, "30", float("nan"), 0])
+def test_synth_rejects_bad_fps(tmp_path, capsys, fps):
+    config = _synth_config(tmp_path, fps)
+    out = tmp_path / "data"
+    assert run(["synth", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {config}: fps " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_build_graphs_removes_outputs(dataset, tmp_path):
     manifest = load_manifest(dataset)
     # corrupt one mask of the last video so the failure hits mid-run

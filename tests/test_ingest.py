@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -274,6 +275,45 @@ def test_manifest_rejects_fps_below_one(tmp_path, fps):
     )
     with pytest.raises(OutOfRange, match=f"{path}: fps {fps} must be at least 1"):
         load_manifest(path)
+
+
+def _manifest(tmp_path, fps, split="train"):
+    mdir, csv = tmp_path / "a" / "masks", tmp_path / "a" / "phases.csv"
+    return DatasetManifest(fps=fps, videos=(VideoEntry("a", mdir, csv, split),))
+
+
+@pytest.mark.parametrize("fps", [1, 29.97, pytest.param(10**400, id="400-digit-int")])
+def test_manifest_keeps_fps_as_given(tmp_path, fps):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    write_manifest(_manifest(tmp_path, fps), path)
+    assert f'"fps": {fps},' in path.read_text()
+    loaded = load_manifest(path).fps
+    assert loaded == fps and type(loaded) is type(fps)
+
+
+@pytest.mark.parametrize("fps", ["true", '"30"', "null", "[30]", "NaN", "Infinity", "1e400"])
+def test_manifest_rejects_fps_that_is_no_finite_number(tmp_path, fps):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    path.write_text(
+        f'{{"fps": {fps}, "videos": [{{"id": "a", "mask_dir": "a/masks", '
+        '"phase_csv": "a/phases.csv", "split": "train"}]}'
+    )
+    with pytest.raises(OutOfRange, match=re.escape(f"{path}: fps ") + ".* is not a finite number"):
+        load_manifest(path)
+
+
+def test_failed_manifest_write_keeps_earlier_manifest(tmp_path, full_disk):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    write_manifest(_manifest(tmp_path, 1), path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError):
+        write_manifest(_manifest(tmp_path, 25, split="test"), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "manifest.json"]
 
 
 def test_list_mask_files_sorted(tmp_path):

@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from surgraph.errors import DuplicateEntry, EmptyMask, OutOfRange
@@ -240,6 +243,21 @@ def test_empty_mask_raises():
         build_static_graph(_mask([[1]]), cfg=FeatureConfig(min_segment_pixels=10))
 
 
+def test_empty_mask_when_no_component_is_large_enough():
+    # Class 1 has 12 pixels, enough for the threshold, but every one of them
+    # is its own component; classes 2 and 3 fill the gaps with 6 and 5.
+    row = [1 if i % 2 == 0 else 2 + (i // 2) % 2 for i in range(23)]
+    mask = _mask([row], frame_index=37)
+    for connectivity in (4, 8):
+        cfg = FeatureConfig(segment_mode=SEGMENT_MODE_COMPONENT, connectivity=connectivity)
+        with pytest.raises(EmptyMask, match="frame 37: no segment >= 10 px"):
+            extract_segments(mask, cfg)
+        with pytest.raises(EmptyMask, match="frame 37"):
+            build_static_graph(mask, cfg=cfg)
+    segs = extract_segments(mask, FeatureConfig())
+    assert segs.class_ids.tolist() == [1] and segs.pixel_counts.tolist() == [12]
+
+
 def test_json_round_trip():
     cfg = FeatureConfig(num_classes=17, use_spatial=True, use_size=True, min_segment_pixels=1)
     graph = build_static_graph(_mask(SMALL, frame_index=12), cfg=cfg)
@@ -414,9 +432,9 @@ def test_graph_arrays_are_read_only():
 
 # --- segment arrays against a naive per-segment loop --------------------------------
 # The reference visits every class and every component, counts each region's
-# pixels and only then drops the small ones; extract_segments skips small
-# classes and components before visiting them. Segment and _segment_from_region
-# are the per-segment records the arrays replaced.
+# pixels and only then drops the small ones; extract_segments labels only
+# large enough classes and reads every region off bincounts. Segment and
+# _segment_from_region are the per-segment records the arrays replaced.
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -516,27 +534,74 @@ def test_segments_match_reference_loop(mode, connectivity, min_pixels):
     )
     rng = np.random.default_rng(29)
     for mask in _speckled_masks():
-        want, want_image = reference_segments_with_index_image(mask, cfg)
-        if not want:
-            with pytest.raises(EmptyMask):
-                extract_segments(mask, cfg)
-            continue
-        got = extract_segments(mask, cfg)
-        assert_same_bits(got.class_ids, [s.class_id for s in want], np.int64)
-        assert_same_bits(got.pixel_counts, [s.pixel_count for s in want], np.int64)
-        assert_same_bits(got.centroids, [s.centroid for s in want], np.float64)
-        assert_same_bits(got.component_index, [s.component_index for s in want], np.int64)
-        assert_same_bits(got.index_image, want_image, np.int32)
-        assert got.keys(mode) == [s.key(mode) for s in want]
+        assert_matches_reference(mask, cfg, rng)
 
-        table = EmbeddingTable(
-            {mask.frame_index: {s.key(mode): rng.normal(size=3) for s in want}}, 3
-        )
-        graph = build_static_graph(mask, table, cfg)
-        nodes, edges = reference_static_graph(mask, table, cfg)
-        assert_same_bits(graph.x, [n.features for n in nodes], np.float64)
-        assert_same_bits(graph.class_ids, [n.class_id for n in nodes], np.int64)
-        assert_same_bits(graph.centroids, [n.centroid for n in nodes], np.float64)
-        assert_same_bits(graph.sizes, [n.size for n in nodes], np.float64)
-        assert_same_bits(graph.component_index, [n.component_index for n in nodes], np.int64)
-        assert_same_bits(graph.edge_index, np.array(edges).reshape(-1, 2), np.int64)
+
+def assert_matches_reference(mask, cfg, rng):
+    """Segments and graph arrays carry the bits of the reference loop's."""
+    mode = cfg.segment_mode
+    want, want_image = reference_segments_with_index_image(mask, cfg)
+    if not want:
+        with pytest.raises(EmptyMask, match=f"frame {mask.frame_index}: "):
+            extract_segments(mask, cfg)
+        with pytest.raises(EmptyMask, match=f"frame {mask.frame_index}: "):
+            build_static_graph(mask, None, cfg)
+        return
+    got = extract_segments(mask, cfg)
+    assert_same_bits(got.class_ids, [s.class_id for s in want], np.int64)
+    assert_same_bits(got.pixel_counts, [s.pixel_count for s in want], np.int64)
+    assert_same_bits(got.centroids, [s.centroid for s in want], np.float64)
+    assert_same_bits(got.component_index, [s.component_index for s in want], np.int64)
+    assert_same_bits(got.index_image, want_image, np.int32)
+    assert got.keys(mode) == [s.key(mode) for s in want]
+
+    table = EmbeddingTable(
+        {mask.frame_index: {s.key(mode): rng.normal(size=3) for s in want}}, 3
+    )
+    graph = build_static_graph(mask, table, cfg)
+    nodes, edges = reference_static_graph(mask, table, cfg)
+    assert_same_bits(graph.x, [n.features for n in nodes], np.float64)
+    assert_same_bits(graph.class_ids, [n.class_id for n in nodes], np.int64)
+    assert_same_bits(graph.centroids, [n.centroid for n in nodes], np.float64)
+    assert_same_bits(graph.sizes, [n.size for n in nodes], np.float64)
+    assert_same_bits(graph.component_index, [n.component_index for n in nodes], np.int64)
+    assert_same_bits(graph.edge_index, np.array(edges).reshape(-1, 2), np.int64)
+
+
+@st.composite
+def blocky_masks(draw):
+    """uint8 masks of 1x1 to 40x40 with up to 20 classes, in square blocks."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    block = draw(st.integers(1, 6))
+    classes = draw(st.integers(1, 20))
+    cells = draw(hnp.arrays(
+        np.uint8, (-(-height // block), -(-width // block)), elements=st.integers(0, classes - 1)
+    ))
+    ids = np.kron(cells, np.ones((block, block), dtype=np.uint8))[:height, :width]
+    return SegmentationMask(width, height, np.ascontiguousarray(ids), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=blocky_masks(),
+    mode=st.sampled_from([SEGMENT_MODE_CLASS, SEGMENT_MODE_COMPONENT]),
+    connectivity=st.sampled_from([4, 8]),
+    min_pixels=st.sampled_from([0, 1, 10]),
+    seed=st.integers(0, 2**16),
+)
+def test_segments_match_reference_loop_property(mask, mode, connectivity, min_pixels, seed):
+    cfg = FeatureConfig(
+        num_classes=20, use_spatial=True, use_size=True, use_embedding=True, embedding_dim=3,
+        segment_mode=mode, connectivity=connectivity, min_segment_pixels=min_pixels,
+    )
+    assert_matches_reference(mask, cfg, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("mode", [SEGMENT_MODE_CLASS, SEGMENT_MODE_COMPONENT])
+def test_centroid_of_large_mask_is_exact(mode):
+    # Pixel-center sums are multiples of 0.5 and so exact in float64.
+    side = 2048
+    mask = SegmentationMask(side, side, np.full((side, side), 3, dtype=np.uint8))
+    segs = extract_segments(mask, FeatureConfig(segment_mode=mode))
+    assert segs.centroids.tolist() == [[0.5, 0.5]]
+    assert segs.pixel_counts.tolist() == [side * side]
