@@ -43,7 +43,7 @@ cfg = TrainConfig(
     num_classes=19,
     hidden_dims=(16, 16, 32, 16),
 )
-model, history = train(cfg, manifest, threads=2)
+model, history = train(cfg, manifest)
 print(f"trained {len(history)} epochs; last epoch: {history[-1]}")
 
 _, _, test_videos = split_dataset(manifest)

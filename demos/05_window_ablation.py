@@ -43,7 +43,7 @@ grid = [
     dataclasses.replace(base, window=1),
 ]
 
-rows = run_ablation(grid, manifest, threads=2)
+rows = run_ablation(grid, manifest)
 csv_path = out / "ablation.csv"
 write_ablation_csv(rows, csv_path, fps=1.0)
 

@@ -257,7 +257,7 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     outputs = _Outputs()
     try:
-        model, history = train(cfg, manifest, threads=args.threads)
+        model, history = train(cfg, manifest)
         save_checkpoint(
             model,
             outputs.file(Path(args.out_checkpoint)),
@@ -298,7 +298,7 @@ def cmd_eval(args) -> int:
 
     manifest = load_manifest(args.manifest)
     videos = [v for v in manifest.videos if v.split == args.split]
-    samples = build_samples(videos, cfg, threads=args.threads)
+    samples = build_samples(videos, cfg)
     metrics = evaluate(model, samples)
     print(f"accuracy={metrics.accuracy:.6f} macro_f1={metrics.macro_f1:.6f}")
     return 0
@@ -413,7 +413,7 @@ def cmd_ablate(args) -> int:
 
     outputs = _Outputs()
     try:
-        rows = run_ablation(grid, manifest, threads=args.threads)
+        rows = run_ablation(grid, manifest)
         write_ablation_csv(rows, outputs.file(Path(args.out_csv)), fps=manifest.fps)
         failed = sum(1 for r in rows if r.metrics is None)
         print(f"wrote {len(rows)} ablation rows to {args.out_csv} ({failed} failed)")
@@ -454,7 +454,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--phase-classes", type=int, default=None,
                    help="size of the phase vocabulary (default 19)")
-    p.add_argument("--threads", type=int, default=1)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -464,7 +463,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--dilation", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_feature_flags(p)
     p.set_defaults(func=cmd_eval)
 
@@ -495,7 +493,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--grid", required=True, help="JSON array of TrainConfig objects")
     p.add_argument("--out-csv", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_ablate)
 
     return parser

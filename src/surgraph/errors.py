@@ -27,6 +27,11 @@ class OversizeDimension(SurgraphError):
     """Mask width or height exceeds the sanity limit."""
 
 
+class MalformedFile(SurgraphError):
+    """A text file (phase CSV, manifest) does not follow its format; the
+    message names the file and the line, video or key."""
+
+
 class DuplicateId(SurgraphError):
     """Label map contains the same class id twice."""
 

@@ -5,7 +5,9 @@ self-loops), global add-pooling, and an affine head with softmax. Forward,
 backward, and the Adam update are written out explicitly over numpy arrays;
 the backward pass is validated against central differences in the tests.
 Parameters, gradients and Adam's moments each live in one flat vector, and
-the Adam step updates them in place.
+the Adam step updates them in place. ``parameter_shapes`` alone lays out the
+parameter blocks: the model's views, its gradients' views and the
+checkpoint's blocks all follow it.
 
 The kernel (``forward_prepared``, ``loss_and_gradients_prepared`` and
 ``loss_and_edge_gradient``) writes every node-sized intermediate into a
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,97 +71,68 @@ class GcnConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
-class _FlatLayout:
-    """Parameter-shaped arrays as views of one flat float64 ``vector``.
+def parameter_shapes(cfg: GcnConfig) -> tuple[tuple[int, ...], ...]:
+    """The parameter blocks in checkpoint order: (W_l, b_l) per affine step.
 
-    The blocks are (W_l, b_l) per layer, then W_fc, b_fc: the checkpoint order.
+    The steps run through ``dims = [input_dim, *hidden_dims, num_classes]``,
+    so the graph-convolution layers come first and the head is the last pair.
+    """
+    dims = [cfg.input_dim, *cfg.hidden_dims, cfg.num_classes]
+    steps = zip(dims[:-1], dims[1:])
+    return tuple(shape for fan_in, fan_out in steps for shape in ((fan_in, fan_out), (fan_out,)))
+
+
+def _parameter_count(shapes) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
+class Gradients:
+    """Parameter-shaped views of one flat float64 ``vector``.
+
+    ``shapes`` lists the blocks in ``parameter_shapes`` order; ``weights``
+    and ``biases`` are the layers' blocks and ``fc_weight``, ``fc_bias`` the
+    head's. The views are set once, as plain attributes. Holds dL/dparameters,
+    and is the base of ``GcnModel``.
     """
 
-    vector: np.ndarray
-    shapes: tuple[tuple[int, ...], ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
+    def __init__(self, vector: np.ndarray, shapes):
+        self.shapes = tuple(tuple(shape) for shape in shapes)
+        count = _parameter_count(self.shapes)
+        if vector.shape != (count,):
+            raise ShapeMismatch(f"vector of shape {vector.shape} for {count} parameters")
+        self.vector = vector
+        blocks, offset = [], 0
+        for shape in self.shapes:
+            blocks.append(vector[offset : offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+        self._blocks = tuple(blocks)
+        self.weights, self.biases = self._blocks[0:-2:2], self._blocks[1:-2:2]
+        self.fc_weight, self.fc_bias = blocks[-2:]
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All blocks in checkpoint order: (W_l, b_l)*, W_fc, b_fc."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        out.extend([self.fc_weight, self.fc_bias])
-        return out
+        return list(self._blocks)
 
     def to_vector(self) -> np.ndarray:
         """A copy of the flat vector."""
         return self.vector.copy()
 
-    def _bind(self, vector: np.ndarray, shapes) -> None:
-        weights, biases, fc_weight, fc_bias = _unflatten(vector, shapes)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "shapes", tuple(shapes))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
-        object.__setattr__(self, "fc_weight", fc_weight)
-        object.__setattr__(self, "fc_bias", fc_bias)
 
+class GcnModel(Gradients):
+    """The GCN's parameters for ``config``, laid out by ``parameter_shapes``.
 
-@dataclass(frozen=True, eq=False)
-class GcnModel(_FlatLayout):
-    """Per-layer weights/biases plus the classification head.
-
-    Construction copies the given arrays into one fresh flat ``vector`` and
-    rebinds the fields to shaped views of it, so every model owns its
-    parameters. ``adam_step`` updates them in place; ``with_vector`` (and
-    ``dataclasses.replace``) give an independent copy.
+    Construction copies ``vector``, so every model owns its parameters.
+    ``adam_step`` updates them in place; ``with_vector`` gives an independent
+    model.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
-    config: GcnConfig
-    vector: np.ndarray = field(init=False, repr=False)
-    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        arrays = self.parameter_arrays()
-        vector = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        self._bind(vector, [a.shape for a in arrays])
+    def __init__(self, config: GcnConfig, vector: np.ndarray):
+        super().__init__(np.array(vector, dtype=np.float64), parameter_shapes(config))
+        self.config = config
 
     def with_vector(self, vec: np.ndarray) -> "GcnModel":
         """A new model with this one's architecture and the parameters in ``vec``."""
-        vec = np.asarray(vec)
-        if vec.shape != self.vector.shape:
-            raise ShapeMismatch(f"vector of shape {vec.shape}, model needs {self.vector.size}")
-        weights, biases, fc_weight, fc_bias = _unflatten(vec, self.shapes)
-        return GcnModel(weights, biases, fc_weight, fc_bias, self.config)
-
-
-@dataclass(frozen=True, eq=False)
-class Gradients(_FlatLayout):
-    """dL/dparameters: views of ``vector`` with the model's ``shapes``."""
-
-    vector: np.ndarray
-    shapes: tuple[tuple[int, ...], ...]
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    fc_weight: np.ndarray = field(init=False, repr=False)
-    fc_bias: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._bind(self.vector, self.shapes)
-
-
-def _unflatten(vector: np.ndarray, shapes):
-    """(weights, biases, fc_weight, fc_bias) as views of consecutive blocks of ``vector``."""
-    blocks, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        blocks.append(vector[offset : offset + size].reshape(shape))
-        offset += size
-    n = len(blocks) // 2 - 1
-    return tuple(blocks[0 : 2 * n : 2]), tuple(blocks[1 : 2 * n : 2]), blocks[2 * n], blocks[2 * n + 1]
+        return GcnModel(self.config, vec)
 
 
 def zeros_like_gradients(model: GcnModel) -> Gradients:
@@ -167,24 +140,13 @@ def zeros_like_gradients(model: GcnModel) -> Gradients:
 
 
 def init_model(cfg: GcnConfig) -> GcnModel:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, drawn in block order, and zero biases; deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
-    dims = [cfg.input_dim, *cfg.hidden_dims]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    fan_in, fan_out = cfg.hidden_dims[-1], cfg.num_classes
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    fc_weight = rng.uniform(-s, s, size=(fan_in, fan_out))
-    return GcnModel(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        fc_weight=fc_weight,
-        fc_bias=np.zeros(fan_out),
-        config=cfg,
-    )
+    model = GcnModel(cfg, np.zeros(_parameter_count(parameter_shapes(cfg))))
+    for weight in (*model.weights, model.fc_weight):
+        s = np.sqrt(6.0 / sum(weight.shape))
+        weight[...] = rng.uniform(-s, s, size=weight.shape)
+    return model
 
 
 def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
@@ -380,7 +342,7 @@ class Workspace:
         return views
 
     def _cut(self, shapes, n, edges) -> _Views:
-        widths = [shape[1] for shape in shapes[0:-2:2]]  # W_l is (in, out)
+        widths = [shape[1] for shape in shapes[0:-2:2]]  # the layers' W_l (parameter_shapes)
         block, layers = n * max(widths), n * sum(widths)
         size = 2 * layers + 2 * block + 2 * n * n if edges else layers + 3 * block
         if size > self._floats.size or block > self._bools.size:
@@ -554,12 +516,7 @@ def save_checkpoint(
     header (e.g. the training configuration that produced the model).
     """
     header = {
-        "config": {
-            "input_dim": model.config.input_dim,
-            "hidden_dims": list(model.config.hidden_dims),
-            "num_classes": model.config.num_classes,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "dims": [list(shape) for shape in model.shapes],
         "step": step,
     }
@@ -597,37 +554,27 @@ def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
 def load_checkpoint(path: str | Path) -> GcnModel:
     data, header, offset = _read_checkpoint(path)
     try:
-        cfg = GcnConfig(
-            input_dim=header["config"]["input_dim"],
-            hidden_dims=tuple(header["config"]["hidden_dims"]),
-            num_classes=header["config"]["num_classes"],
-            seed=header["config"]["seed"],
-        )
-        dims = [tuple(d) for d in header["dims"]]
+        config = header["config"]
+        names = [f.name for f in fields(GcnConfig)]
+        if set(config) != set(names):
+            raise ValueError(f"config keys {sorted(config)}, expected {sorted(names)}")
+        cfg = GcnConfig(**config)
+        dims = tuple(tuple(d) for d in header["dims"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
 
-    if dims != _expected_shapes(cfg):
-        raise CorruptCheckpoint(f"{path}: parameter shapes {dims} do not match config")
-    count = sum(math.prod(shape) for shape in dims)
+    shapes = parameter_shapes(cfg)
+    if dims != shapes:
+        raise CorruptCheckpoint(f"{path}: parameter shapes {list(dims)} do not match config")
+    count = _parameter_count(shapes)
     end = offset + 8 * count
     if end > len(data):
         raise CorruptCheckpoint(f"{path}: truncated parameter block")
     if end != len(data):
         raise CorruptCheckpoint(f"{path}: {len(data) - end} trailing bytes")
-    vector = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-    return GcnModel(*_unflatten(vector, dims), config=cfg)
+    return GcnModel(cfg, np.frombuffer(data, dtype="<f8", count=count, offset=offset))
 
 
 def checkpoint_header(path: str | Path) -> dict:
     """The JSON header of a checkpoint (config, dims, step, extra)."""
     return _read_checkpoint(path)[1]
-
-
-def _expected_shapes(cfg: GcnConfig) -> list[tuple[int, ...]]:
-    dims = [cfg.input_dim, *cfg.hidden_dims]
-    shapes = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        shapes.extend([(fan_in, fan_out), (fan_out,)])
-    shapes.extend([(cfg.hidden_dims[-1], cfg.num_classes), (cfg.num_classes,)])
-    return shapes

@@ -4,10 +4,15 @@ File formats:
   * SGM1 mask: ``b"SGM1"`` + u32le width + u32le height + width*height class
     id bytes, row-major, top-left origin.
   * Label map: JSON array of ``{"id": int, "name": str}``.
-  * Phase annotations: CSV with header ``frame,phase``.
+  * Phase annotations: CSV with header ``frame,phase``, then two integers
+    per row.
   * Embeddings: JSON ``{frame_index: {segment_key: [floats]}}``.
   * Manifest: JSON ``{"fps": number, "videos": [...]}``; a frame rate
     such as 29.97 is kept as given.
+
+A file that breaks its format raises a ``SurgraphError`` that names it: the
+frame for a mask, the line for a phase CSV, the video and key for a
+manifest (``MalformedFile``).
 
 Loading is pure: loaded objects are never mutated by other modules and class
 ids pass through bit-exact (no remapping at the I/O layer).
@@ -22,7 +27,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +36,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DuplicateId,
+    MalformedFile,
     MissingFrameKey,
     MissingLabel,
     MixedDimensions,
@@ -115,7 +121,6 @@ class PhaseTrack:
     video_id: str
     frames: np.ndarray
     phases: np.ndarray
-    phase_vocab: tuple[str, ...] = tuple(DEFAULT_PHASE_NAMES)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -197,17 +202,18 @@ def load_mask(path: str | Path, frame_index: int | None = None) -> SegmentationM
 
 
 def mask_from_bytes(blob: bytes, frame_index: int = 0) -> SegmentationMask:
+    """Decode an SGM1 raster; every decode error names ``frame_index``."""
     if blob[:4] != SGM1_MAGIC:
-        raise BadMagic(f"expected magic {SGM1_MAGIC!r}, got {blob[:4]!r}")
+        raise BadMagic(f"frame {frame_index}: expected magic {SGM1_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 12:
-        raise TruncatedFile("header truncated")
+        raise TruncatedFile(f"frame {frame_index}: header truncated")
     width, height = struct.unpack_from("<II", blob, 4)
     if width > MAX_DIMENSION or height > MAX_DIMENSION:
-        raise OversizeDimension(f"{width}x{height} exceeds {MAX_DIMENSION}")
+        raise OversizeDimension(f"frame {frame_index}: {width}x{height} exceeds {MAX_DIMENSION}")
     payload = blob[12 : 12 + width * height]
     if len(payload) < width * height:
         raise TruncatedFile(
-            f"payload has {len(payload)} bytes, need {width * height}"
+            f"frame {frame_index}: payload has {len(payload)} bytes, need {width * height}"
         )
     if len(blob) > 12 + width * height:
         raise TrailingBytes(
@@ -277,33 +283,43 @@ def load_phase_labels(
     vocab: tuple[str, ...] | list[str] | None = None,
     video_id: str | None = None,
 ) -> PhaseTrack:
-    """Parse a ``frame,phase`` CSV into a strictly increasing phase track."""
+    """Parse a ``frame,phase`` CSV into a strictly increasing phase track.
+
+    A wrong header, or a row that is not two integers, raises MalformedFile
+    naming the file and the line.
+    """
     path = Path(path)
     vocab = tuple(vocab) if vocab is not None else tuple(DEFAULT_PHASE_NAMES)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["frame", "phase"]:
-            raise ValueError(f"expected header 'frame,phase', got {header}")
+            raise MalformedFile(f"{path}: line 1: expected header 'frame,phase', got {header}")
         frames: list[int] = []
         phases: list[int] = []
         for row in reader:
             if not row:
                 continue
-            frame, phase = int(row[0]), int(row[1])
+            try:
+                frame, phase = map(int, row)
+            except ValueError as exc:
+                raise MalformedFile(
+                    f"{path}: line {reader.line_num}: expected two integers, got {','.join(row)!r}"
+                ) from exc
             if frames and frame <= frames[-1]:
                 raise NonMonotonicFrames(
                     f"frame {frame} follows {frames[-1]} in {path.name}"
                 )
             if not 0 <= phase < len(vocab):
-                raise UnknownPhaseId(f"phase id {phase} outside vocabulary of {len(vocab)}")
+                raise UnknownPhaseId(
+                    f"phase id {phase} outside vocabulary of {len(vocab)} in {path.name}"
+                )
             frames.append(frame)
             phases.append(phase)
     return PhaseTrack(
         video_id=video_id or path.stem,
         frames=np.asarray(frames, dtype=np.int64),
         phases=np.asarray(phases, dtype=np.int64),
-        phase_vocab=vocab,
     )
 
 
@@ -357,29 +373,35 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset manifest and verify that referenced paths exist.
 
     Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
-    finite number of at least 1 (see ``checked_fps``).
+    finite number of at least 1 (see ``checked_fps``), and MalformedFile,
+    naming the manifest, the video and the key, for a missing key.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
+    entries = _required(raw, "videos", path, "the manifest")
     fps = checked_fps(raw.get("fps", 1), path)
     base = path.parent
     videos = []
-    for entry in raw["videos"]:
-        split = entry["split"]
+    for index, entry in enumerate(entries):
+        video_id = _required(entry, "id", path, f"video {index}")
+        split, mask_dir, phase_csv = (
+            _required(entry, key, path, f"video {video_id!r}")
+            for key in ("split", "mask_dir", "phase_csv")
+        )
         if split not in VALID_SPLITS:
-            raise ValueError(f"unknown split {split!r} for video {entry['id']}")
-        mask_dir = _resolve(base, entry["mask_dir"])
-        phase_csv = _resolve(base, entry["phase_csv"])
+            raise ValueError(f"unknown split {split!r} for video {video_id}")
+        mask_dir = _resolve(base, mask_dir)
+        phase_csv = _resolve(base, phase_csv)
         embeddings = _resolve(base, entry["embeddings"]) if entry.get("embeddings") else None
         if not mask_dir.is_dir():
-            raise FileNotFoundError(f"mask_dir {mask_dir} for video {entry['id']}")
+            raise FileNotFoundError(f"mask_dir {mask_dir} for video {video_id}")
         if not phase_csv.is_file():
-            raise FileNotFoundError(f"phase_csv {phase_csv} for video {entry['id']}")
+            raise FileNotFoundError(f"phase_csv {phase_csv} for video {video_id}")
         if embeddings is not None and not embeddings.is_file():
-            raise FileNotFoundError(f"embeddings {embeddings} for video {entry['id']}")
+            raise FileNotFoundError(f"embeddings {embeddings} for video {video_id}")
         videos.append(
             VideoEntry(
-                video_id=entry["id"],
+                video_id=video_id,
                 mask_dir=mask_dir,
                 phase_csv=phase_csv,
                 split=split,
@@ -440,6 +462,13 @@ def list_mask_files(mask_dir: str | Path) -> list[tuple[int, Path]]:
         except ValueError:
             logger.warning("skipping mask file with non-numeric stem: %s", p.name)
     return sorted(pairs)
+
+
+def _required(obj, key: str, path: Path, where: str):
+    """``obj[key]``; MalformedFile naming the manifest ``path``, ``where`` and ``key`` if absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedFile(f"{path}: {where} has no {key!r}")
+    return obj[key]
 
 
 def _resolve(base: Path, value: str) -> Path:

@@ -8,7 +8,7 @@ these two. ``fit`` trains on samples the caller holds, and ``train`` builds
 a manifest's samples and calls ``fit``. Training accumulates gradients
 over a batch of windows, applies one Adam step per batch, and keeps the model
 with the best validation accuracy. Everything is seeded and bitwise
-reproducible.
+reproducible. A ``TrainConfig``'s JSON is its dataclass fields.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import logging
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -123,41 +123,13 @@ class TrainConfig:
         )
 
     def to_json(self) -> dict:
-        fc = self.feature_config
-        return {
-            "feature_config": {
-                "num_classes": fc.num_classes,
-                "use_class": fc.use_class,
-                "use_spatial": fc.use_spatial,
-                "use_size": fc.use_size,
-                "use_temporal": fc.use_temporal,
-                "use_embedding": fc.use_embedding,
-                "embedding_dim": fc.embedding_dim,
-                "segment_mode": fc.segment_mode,
-                "min_segment_pixels": fc.min_segment_pixels,
-                "connectivity": fc.connectivity,
-            },
-            "window": self.window,
-            "dilation": self.dilation,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "seed": self.seed,
-            "patience": self.patience,
-            "num_classes": self.num_classes,
-            "hidden_dims": list(self.hidden_dims),
-            "label_policy": self.label_policy,
-        }
+        """The config's fields, the feature config's nested, as ``dataclasses.asdict`` gives them."""
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        fc = FeatureConfig(**data.get("feature_config", {}))
-        rest = {k: v for k, v in data.items() if k != "feature_config"}
-        if "hidden_dims" in rest:
-            rest["hidden_dims"] = tuple(rest["hidden_dims"])
-        return cls(feature_config=fc, **rest)
+        """The config ``to_json`` wrote; absent fields take their defaults."""
+        return cls(**{**data, "feature_config": FeatureConfig(**data.get("feature_config", {}))})
 
 
 @dataclass(frozen=True)
@@ -199,7 +171,8 @@ def load_static_graphs(
 
     A frame with no segment of at least ``min_segment_pixels`` is left out
     and appended to ``skipped`` as ``video/frame``. With ``threads > 1``
-    frames are built across a thread pool.
+    frames are built across a thread pool; only the benchmark's per-layer
+    timing asks for one, since the pool was measured slower than one thread.
     """
     mask_files = list_mask_files(video.mask_dir)
     if not mask_files:
@@ -292,17 +265,15 @@ def warn_skipped_frames(
         log.warning("skipped %s", "; ".join(parts))
 
 
-def train(
-    cfg: TrainConfig, manifest: DatasetManifest, threads: int = 1
-) -> tuple[GcnModel, list[dict]]:
+def train(cfg: TrainConfig, manifest: DatasetManifest) -> tuple[GcnModel, list[dict]]:
     """``fit`` on the samples of the manifest's train and val splits."""
     train_videos, val_videos, _ = split_dataset(manifest)
     if not train_videos:
         raise EmptyTrainSet("manifest has no train videos")
-    train_samples = build_samples(train_videos, cfg, threads=threads)
+    train_samples = build_samples(train_videos, cfg)
     if not train_samples:
         raise EmptyTrainSet("train split produced no window samples")
-    return fit(cfg, train_samples, build_samples(val_videos, cfg, threads=threads))
+    return fit(cfg, train_samples, build_samples(val_videos, cfg))
 
 
 def fit(
@@ -427,9 +398,7 @@ class AblationRow:
     error: str | None = None
 
 
-def run_ablation(
-    grid: list[TrainConfig], manifest: DatasetManifest, threads: int = 1
-) -> list[AblationRow]:
+def run_ablation(grid: list[TrainConfig], manifest: DatasetManifest) -> list[AblationRow]:
     """Train/evaluate one row per distinct config; failures become rows too."""
     rows = []
     seen = set()
@@ -442,12 +411,8 @@ def run_ablation(
         seen.add(key)
         try:
             train_videos, val_videos, test_videos = split_dataset(manifest)
-            model, _ = fit(
-                cfg,
-                build_samples(train_videos, cfg, threads=threads),
-                build_samples(val_videos, cfg, threads=threads),
-            )
-            test_samples = build_samples(test_videos, cfg, threads=threads)
+            model, _ = fit(cfg, build_samples(train_videos, cfg), build_samples(val_videos, cfg))
+            test_samples = build_samples(test_videos, cfg)
             rows.append(AblationRow(cfg, evaluate(model, test_samples)))
         except Exception as exc:  # recorded, not fatal: one bad cell shouldn't kill the grid
             log.warning("ablation cell failed: %s", exc)

@@ -5,7 +5,8 @@ skin background) with seeded jitter, plus rectangular tool blobs placed per
 the active phase's tool set. Because labels follow explicit presence/contact
 rules, an independent oracle can recompute them from the pixels — which is
 what the end-to-end tests lean on. Optional noise corrupts tool class ids
-and sprinkles speckle pixels.
+and sprinkles speckle pixels. A config's JSON is its dataclass fields
+(``synth_config_from_json``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class ScriptPhase:
             if t not in TOOL_CLASSES:
                 raise ValueError(f"class {t} is not a tool class")
         object.__setattr__(self, "tools", tuple(sorted(self.tools)))
+        object.__setattr__(self, "touch", tuple(tuple(pair) for pair in self.touch))
+        object.__setattr__(self, "avoid", tuple(tuple(pair) for pair in self.avoid))
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,6 @@ def generate_sequence(cfg: SynthConfig):
         video_id=cfg.video_id,
         frames=np.arange(cfg.n_frames, dtype=np.int64),
         phases=np.asarray(phases, dtype=np.int64),
-        phase_vocab=tuple(DEFAULT_PHASE_NAMES),
     )
     entry = {"video_id": cfg.video_id, "split": cfg.split, "n_frames": cfg.n_frames}
     return masks, track, entry
@@ -432,48 +434,12 @@ def generate_dataset(
     return manifest_path, manifest
 
 
-def synth_config_to_json(cfg: SynthConfig) -> dict:
-    return {
-        "width": cfg.width,
-        "height": cfg.height,
-        "n_frames": cfg.n_frames,
-        "phase_script": [
-            {
-                "phase_id": p.phase_id,
-                "duration": p.duration,
-                "tools": list(p.tools),
-                "touch": [list(pair) for pair in p.touch],
-                "avoid": [list(pair) for pair in p.avoid],
-            }
-            for p in cfg.phase_script
-        ],
-        "tool_noise": cfg.tool_noise,
-        "speckle_noise": cfg.speckle_noise,
-        "seed": cfg.seed,
-        "video_id": cfg.video_id,
-        "split": cfg.split,
-    }
-
-
 def synth_config_from_json(data: dict) -> SynthConfig:
-    script = tuple(
-        ScriptPhase(
-            phase_id=p["phase_id"],
-            duration=p["duration"],
-            tools=tuple(p.get("tools", ())),
-            touch=tuple(tuple(pair) for pair in p.get("touch", ())),
-            avoid=tuple(tuple(pair) for pair in p.get("avoid", ())),
-        )
-        for p in data["phase_script"]
-    )
-    return SynthConfig(
-        width=data.get("width", 64),
-        height=data.get("height", 64),
-        n_frames=data["n_frames"],
-        phase_script=script,
-        tool_noise=data.get("tool_noise", 0.0),
-        speckle_noise=data.get("speckle_noise", 0.0),
-        seed=data.get("seed", 0),
-        video_id=data.get("video_id", "synth0"),
-        split=data.get("split", "train"),
-    )
+    """A ``SynthConfig`` from its fields as JSON, e.g. ``dataclasses.asdict`` of one.
+
+    Absent fields take the dataclass defaults; an unknown key raises TypeError.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"a synth config is a JSON object, not {type(data).__name__}")
+    script = tuple(ScriptPhase(**p) for p in data.get("phase_script", ()))
+    return SynthConfig(**{**data, "phase_script": script})

@@ -336,7 +336,7 @@ def test_windowed_model_learns_synthetic_phases(report, tmp_path):
         num_classes=19,
         hidden_dims=(32, 32, 64, 64, 96, 64, 32, 32),
     )
-    model, history = train(cfg, manifest, threads=2)
+    model, history = train(cfg, manifest)
     _, _, test_videos = split_dataset(manifest)
     metrics = evaluate(model, build_samples(test_videos, cfg, threads=2))
     elapsed = time.monotonic() - t0

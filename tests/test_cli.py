@@ -310,6 +310,19 @@ def test_synth_rejects_bad_fps(tmp_path, capsys, fps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["video", "phase"])
+def test_synth_rejects_unknown_config_key(tmp_path, capsys, where):
+    config = _synth_config(tmp_path, 1)
+    raw = json.loads(config.read_text())
+    target = raw["videos"][0] if where == "video" else raw["videos"][0]["phase_script"][0]
+    target["colour"] = "red"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "data"
+    assert run(["synth", "--config", str(config), "--out", str(out)]) == 1
+    assert "bad synth config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_build_graphs_removes_outputs(dataset, tmp_path):
     manifest = load_manifest(dataset)
     # corrupt one mask of the last video so the failure hits mid-run
@@ -557,6 +570,26 @@ def test_failed_train_keeps_earlier_history_and_new_checkpoint(
     assert (tmp_path / "m.ckpt").read_bytes() != checkpoint
     load_checkpoint(tmp_path / "m.ckpt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["history.json", "m.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("frame,phase\n0,3\n2\n", 3), ("frame,phase\n0,x\n", 2), ("frame;phase\n0;3\n", 1)],
+    ids=["short-row", "non-integer", "wrong-header"],
+)
+def test_train_names_the_malformed_phase_csv(dataset, tmp_path, capsys, body, line):
+    raw = json.loads(dataset.read_text())
+    for video in raw["videos"]:
+        for key in ("mask_dir", "phase_csv"):
+            video[key] = str(dataset.parent / video[key])
+    phases = tmp_path / "phases.csv"
+    phases.write_text(body)
+    raw["videos"][0]["phase_csv"] = str(phases)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+    assert run(_train_argv(manifest, tmp_path, seed=0)) == 2
+    assert f"error: {phases}: line {line}: " in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def _manifest_with_nan_embedding(dataset, tmp_path, split):

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -33,12 +36,14 @@ from surgraph.gcn import (
     loss_and_gradients,
     loss_and_gradients_prepared,
     normalize_adjacency,
+    parameter_shapes,
     save_checkpoint,
     checkpoint_header,
     forward_prepared,
     zeros_like_gradients,
 )
 from surgraph.numerics import DENSE_NODE_LIMIT, grad_check, softmax
+from surgraph.pipeline import TrainConfig
 
 
 @dataclasses.dataclass
@@ -337,7 +342,8 @@ def test_confident_correct_prediction_has_tiny_gradients():
     model = init_model(SMALL_CFG)
     g = _random_graph(rng, 4, 5)
     # blow up the head so the predicted class saturates
-    boosted = dataclasses.replace(model, fc_weight=model.fc_weight * 200.0)
+    boosted = model.with_vector(model.vector)
+    boosted.fc_weight *= 200.0
     _, probs, pred = forward(boosted, g)
     assert probs[pred] > 1.0 - 1e-9
     loss, grads = loss_and_gradients(boosted, g, pred)
@@ -487,8 +493,7 @@ def _ref_adam_step(model, grads, state, hyper=None):
             arrays[2 * n + 1],
         )
 
-    w, b, fw, fb = unpack(new_params)
-    new_model = GcnModel(weights=w, biases=b, fc_weight=fw, fc_bias=fb, config=model.config)
+    new_model = GcnModel(model.config, np.concatenate([p.ravel() for p in new_params]))
     mw, mb, mfw, mfb = unpack(new_m)
     vw, vb, vfw, vfb = unpack(new_v)
     new_state = _RefAdamState(
@@ -537,9 +542,10 @@ def test_model_arrays_are_views_of_its_vector():
     arrays = model.parameter_arrays()
     assert all(np.shares_memory(a, model.vector) for a in arrays)
     np.testing.assert_array_equal(model.vector, np.concatenate([a.ravel() for a in arrays]))
-    # with_vector and dataclasses.replace copy: stepping the original leaves them alone
+    # with_vector and the constructor copy: stepping the original leaves them alone
     copy = model.with_vector(model.vector)
-    boosted = dataclasses.replace(model, fc_weight=model.fc_weight * 2.0)
+    boosted = GcnModel(model.config, model.vector)
+    boosted.fc_weight *= 2.0
     assert not np.shares_memory(copy.vector, model.vector)
     assert not np.shares_memory(boosted.vector, model.vector)
     assert np.shares_memory(boosted.fc_weight, boosted.vector)
@@ -655,6 +661,60 @@ def test_checkpoint_round_trip(tmp_path):
     again = tmp_path / "m2.ckpt"
     save_checkpoint(loaded, again, step=17, extra={"note": "x"})
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # pins the format byte for byte: the header's key order and number
+    # formatting, the block order and the float encoding all enter the digest
+    model = init_model(GcnConfig(input_dim=5, hidden_dims=(4, 3), num_classes=3, seed=0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, step=2, extra={"train_config": TrainConfig().to_json()})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ca1b2a0607c9da9aa994a2de0a7e14cb5a4227eaa22fe60ff6d9f894c6f9d7aa"
+
+
+def test_parameter_shapes_lay_out_model_gradients_and_checkpoint(tmp_path):
+    shapes = parameter_shapes(SMALL_CFG)
+    assert shapes == ((5, 6), (6,), (6, 7), (7,), (7, 3), (3,))
+    model = init_model(SMALL_CFG)
+    assert model.shapes == shapes
+    assert [a.shape for a in model.parameter_arrays()] == list(shapes)
+    assert (model.fc_weight.shape, model.fc_bias.shape) == shapes[-2:]
+    assert [a.shape for a in zeros_like_gradients(model).parameter_arrays()] == list(shapes)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    assert checkpoint_header(path)["dims"] == [list(shape) for shape in shapes]
+    with pytest.raises(ShapeMismatch):
+        GcnModel(SMALL_CFG, np.zeros(model.vector.size + 1))
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length :])
+
+
+@pytest.mark.parametrize(
+    "unknown, missing",
+    [("dropout", None), *((None, key) for key in ("input_dim", "hidden_dims", "num_classes", "seed"))],
+)
+def test_checkpoint_config_keys_must_match_the_config_fields(tmp_path, unknown, missing):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(SMALL_CFG), path)
+    load_checkpoint(path)  # the untouched file loads
+
+    def edit(header):
+        if unknown:
+            header["config"][unknown] = 0.5
+        else:
+            del header["config"][missing]
+
+    _rewrite_header(path, edit)
+    with pytest.raises(CorruptCheckpoint, match="config keys"):
+        load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_earlier_file(tmp_path, full_disk):

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -7,6 +8,7 @@ import pytest
 from surgraph.errors import (
     BadMagic,
     DuplicateId,
+    MalformedFile,
     MissingFrameKey,
     MissingLabel,
     MixedDimensions,
@@ -51,26 +53,28 @@ def test_load_mask_direct_bytes():
 
 def test_load_mask_bad_magic():
     blob = b"XXXX" + struct.pack("<II", 1, 1) + bytes([0])
-    with pytest.raises(BadMagic):
-        mask_from_bytes(blob)
+    with pytest.raises(BadMagic, match="^frame 12: expected magic"):
+        mask_from_bytes(blob, frame_index=12)
 
 
 def test_load_mask_truncated_payload():
     blob = b"SGM1" + struct.pack("<II", 4, 4) + bytes([0] * 5)
-    with pytest.raises(TruncatedFile):
-        mask_from_bytes(blob)
+    with pytest.raises(TruncatedFile, match="^frame 12: payload has 5 bytes"):
+        mask_from_bytes(blob, frame_index=12)
+    with pytest.raises(TruncatedFile, match="^frame 13: header truncated"):
+        mask_from_bytes(blob[:10], frame_index=13)
 
 
 def test_load_mask_trailing_bytes():
     mask = mask_from_bytes(b"SGM1" + struct.pack("<II", 4, 4) + bytes(16))
-    with pytest.raises(TrailingBytes, match="1 trailing bytes"):
-        mask_from_bytes(mask_to_bytes(mask) + b"x")
+    with pytest.raises(TrailingBytes, match="^frame 12: 1 trailing bytes"):
+        mask_from_bytes(mask_to_bytes(mask) + b"x", frame_index=12)
 
 
 def test_load_mask_oversize():
     blob = b"SGM1" + struct.pack("<II", 20000, 1)
-    with pytest.raises(OversizeDimension):
-        mask_from_bytes(blob)
+    with pytest.raises(OversizeDimension, match="^frame 12: 20000x1 exceeds"):
+        mask_from_bytes(blob, frame_index=12)
 
 
 def test_mask_round_trip_100_random(tmp_path):
@@ -263,6 +267,21 @@ def test_manifest_bad_split(tmp_path):
     )
     with pytest.raises(ValueError):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["videos", "id", "split", "mask_dir", "phase_csv"])
+def test_manifest_missing_key_names_manifest_video_and_key(tmp_path, key):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    video = {"id": "a", "mask_dir": "a/masks", "phase_csv": "a/phases.csv", "split": "train"}
+    raw = {"fps": 1, "videos": [video]}
+    del (raw if key == "videos" else video)[key]
+    path.write_text(json.dumps(raw))
+    where = {"videos": "the manifest", "id": "video 0"}.get(key, "video 'a'")
+    with pytest.raises(MalformedFile) as info:
+        load_manifest(path)
+    assert not isinstance(info.value, KeyError)
+    assert str(info.value) == f"{path}: {where} has no '{key}'"
 
 
 @pytest.mark.parametrize("fps", [0, -3, 0.5])

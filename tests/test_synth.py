@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,6 @@ from surgraph.synth import (
     preset_order_dependent,
     preset_planted_contact,
     synth_config_from_json,
-    synth_config_to_json,
 )
 
 
@@ -209,8 +211,22 @@ def test_generate_dataset_round_trips_through_ingest(tmp_path):
 
 def test_config_json_round_trip():
     cfg = preset_planted_contact(seed=9)
-    again = synth_config_from_json(synth_config_to_json(cfg))
+    again = synth_config_from_json(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
+
+
+def test_config_json_takes_defaults_and_rejects_unknown_keys():
+    script = [{"phase_id": 4, "duration": 3, "tools": [14], "touch": [[14, PUPIL]]}]
+    cfg = synth_config_from_json({"phase_script": script})
+    defaults = SynthConfig(phase_script=cfg.phase_script)
+    assert cfg == defaults and cfg.n_frames == 100
+    assert cfg.phase_script[0].touch == ((14, PUPIL),)
+    with pytest.raises(TypeError, match="frames"):
+        synth_config_from_json({"phase_script": script, "frames": 10})
+    with pytest.raises(TypeError, match="colour"):
+        synth_config_from_json({"phase_script": [{**script[0], "colour": 1}]})
+    with pytest.raises(TypeError):
+        synth_config_from_json([script])
 
 
 def test_classes_touch_examples():
