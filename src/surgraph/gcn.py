@@ -14,22 +14,31 @@ The kernel (``forward_prepared``, ``loss_and_gradients_prepared`` and
 ``Workspace``: each layer's h W product and its output h = relu(S h W + b),
 stored in place, then dL/dZ, dL/dh, the head's dL/dh fanned out to every
 node, and the edge gradient's n x n dL/dS and its symmetric sum. The caller
-owns the workspace and passes it as ``workspace=``: ``pipeline.train`` makes
+owns the workspace and passes it as ``workspace=``: ``pipeline.fit`` makes
 one per run and evaluates its validation windows in it too,
 ``pipeline.evaluate`` called alone and ``explain.explain_prediction`` make
 one per call, and ``workspace=None`` makes one for that call alone. A workspace
 grows to the largest graph it has seen and keeps its shaped views per node
 count, so a run reuses the same memory for every sample; buffers of 100 KB
 and more that were allocated and freed on each call cost hundreds of page
-faults per call. Only ``SparseAdjacency.apply`` still allocates its result.
+faults per call. Only the adjacency product still allocates its result.
 No returned array points into a workspace; one workspace serves one call
 at a time.
+
+``forward_prepared`` also runs a stack of B graphs of one node count: x of
+shape (B, n, d) with a ``numerics.DenseStack``. Each layer is then one
+product per stack over (B, n, width) workspace views, pooling sums over the
+node axis, and the head is one product per graph, so every row of the
+result is bitwise that graph's own forward. ``pipeline.evaluate`` stacks
+its dense windows this way, at most ``pipeline.STACK_ROWS`` node rows per
+stack.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -46,7 +55,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ingest import atomic_write
-from .numerics import SparseAdjacency, cross_entropy, softmax
+from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax
 
 DEFAULT_HIDDEN_DIMS = (64, 64, 128, 128, 192, 128, 64, 64)
 
@@ -56,19 +65,43 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class GcnConfig:
+    """The architecture and init seed.
+
+    Each dimension and the seed is an int: whatever ``operator.index`` takes,
+    numpy ints included, stored as a plain int. A bool, a float or anything
+    else raises ValueError.
+    """
+
     input_dim: int
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     num_classes: int = 19
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "num_classes", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        try:
+            hidden = tuple(_integer("hidden_dims", h) for h in self.hidden_dims)
+        except TypeError:
+            raise ValueError(f"hidden_dims must be ints, not {self.hidden_dims!r}") from None
+        object.__setattr__(self, "hidden_dims", hidden)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if not self.hidden_dims:
+        if not hidden:
             raise ValueError("hidden_dims must be non-empty")
+        if min(hidden) < 1:
+            raise ValueError("hidden_dims must all be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def parameter_shapes(cfg: GcnConfig) -> tuple[tuple[int, ...], ...]:
@@ -207,10 +240,10 @@ def gcn_layer_forward(
 
 
 def global_add_pool(h: np.ndarray) -> np.ndarray:
-    """Column-wise sum over nodes."""
-    if h.shape[0] == 0:
+    """Column-wise sum over nodes: axis -2, of one graph or of each graph of a stack."""
+    if h.shape[-2] == 0:
         raise EmptyGraph("cannot pool an empty node set")
-    return h.sum(axis=0)
+    return h.sum(axis=-2)
 
 
 def forward(model: GcnModel, graph) -> tuple[np.ndarray, np.ndarray, int]:
@@ -221,14 +254,20 @@ def forward(model: GcnModel, graph) -> tuple[np.ndarray, np.ndarray, int]:
 def forward_prepared(
     model: GcnModel,
     x: np.ndarray,
-    anorm: SparseAdjacency,
+    anorm: SparseAdjacency | DenseStack,
     workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Forward pass on a precomputed feature matrix and normalized adjacency."""
+) -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
+    """Forward pass on a precomputed feature matrix and normalized adjacency.
+
+    With x of shape (B, n, d) and a ``DenseStack`` of B adjacencies it runs
+    B graphs at once and returns logits (B, C), probs (B, C) and an array of
+    B predicted classes; row j equals graph j's own forward bitwise.
+    """
     _check_features(model, x)
-    views = _views(workspace, model, x.shape[0])
+    views = _views(workspace, model, x.shape[-2], stack=x.shape[0] if x.ndim == 3 else None)
     logits, probs, _ = _forward_cached(model, x, anorm, views)
-    return logits, probs, int(np.argmax(probs))
+    predicted = np.argmax(probs, axis=-1)
+    return logits, probs, predicted if x.ndim == 3 else int(predicted)
 
 
 def loss_and_gradients(model: GcnModel, graph, label: int) -> tuple[float, Gradients]:
@@ -299,16 +338,19 @@ def loss_and_edge_gradient(
 
 
 def _check_features(model, x):
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise EmptyGraph("graph has no nodes")
-    if x.shape[1] != model.config.input_dim:
+    if x.shape[-1] != model.config.input_dim:
         raise DimensionMismatch(
-            f"graph features are {x.shape[1]}-d, model expects {model.config.input_dim}"
+            f"graph features are {x.shape[-1]}-d, model expects {model.config.input_dim}"
         )
 
 
 class _Views(NamedTuple):
-    """A workspace cut for one node count n; tuples hold one n x width view per layer."""
+    """A workspace cut for one node count n; tuples hold one n x width view per layer.
+
+    For a stack of B graphs each view is B x n x width.
+    """
 
     m: tuple[np.ndarray, ...]  # h_in @ W; one shared block unless the edge gradient reads them
     h: tuple[np.ndarray, ...]  # the layer's output, relu(S m + b), stored in place
@@ -322,10 +364,11 @@ class _Views(NamedTuple):
 class Workspace:
     """Buffers the GCN kernel writes into, reused from one call to the next.
 
-    One float64 and one bool block grow to the largest graph seen. The
-    shaped views for a node count are cut once and kept, keyed by the
-    node count, the model's parameter shapes and whether the edge gradient
-    needs them (it keeps every layer's product and two n x n matrices).
+    One float64 and one bool block grow to the largest graph or stack
+    seen. The shaped views for a node count are cut once and kept, keyed by
+    the stack size (None for one graph), the node count, the model's
+    parameter shapes and whether the edge gradient needs them (it keeps
+    every layer's product and two n x n matrices).
     """
 
     def __init__(self):
@@ -333,17 +376,26 @@ class Workspace:
         self._bools = np.empty(0, dtype=bool)
         self._cuts: dict[tuple, _Views] = {}
 
-    def views(self, shapes: tuple[tuple[int, ...], ...], n: int, edges: bool = False) -> _Views:
-        """Views for a model with parameter ``shapes`` on an ``n``-node graph."""
-        key = (n, shapes, edges)
+    def views(
+        self,
+        shapes: tuple[tuple[int, ...], ...],
+        n: int,
+        edges: bool = False,
+        stack: int | None = None,
+    ) -> _Views:
+        """Views for a model with parameter ``shapes`` on an ``n``-node graph,
+        or on a ``stack`` of that many ``n``-node graphs."""
+        key = (stack, n, shapes, edges)
         views = self._cuts.get(key)
         if views is None:
-            views = self._cuts[key] = self._cut(shapes, n, edges)
+            views = self._cuts[key] = self._cut(shapes, n, edges, stack)
         return views
 
-    def _cut(self, shapes, n, edges) -> _Views:
+    def _cut(self, shapes, n, edges, stack) -> _Views:
         widths = [shape[1] for shape in shapes[0:-2:2]]  # the layers' W_l (parameter_shapes)
-        block, layers = n * max(widths), n * sum(widths)
+        lead = (n,) if stack is None else (stack, n)
+        rows = math.prod(lead)
+        block, layers = rows * max(widths), rows * sum(widths)
         size = 2 * layers + 2 * block + 2 * n * n if edges else layers + 3 * block
         if size > self._floats.size or block > self._bools.size:
             self._floats = np.empty(max(size, self._floats.size))
@@ -357,9 +409,10 @@ class Workspace:
             return taken
 
         def each_layer(shared=None):
-            """An n x width view per layer: of ``shared``, or of its own block."""
+            """A ``lead`` x width view per layer: of ``shared``, or of its own block."""
             return tuple(
-                (take(n * d) if shared is None else shared[: n * d]).reshape(n, d) for d in widths
+                (take(rows * d) if shared is None else shared[: rows * d]).reshape(*lead, d)
+                for d in widths
             )
 
         return _Views(
@@ -373,8 +426,8 @@ class Workspace:
         )
 
 
-def _views(workspace, model, n, edges=False) -> _Views:
-    return (Workspace() if workspace is None else workspace).views(model.shapes, n, edges)
+def _views(workspace, model, n, edges=False, stack=None) -> _Views:
+    return (Workspace() if workspace is None else workspace).views(model.shapes, n, edges, stack)
 
 
 def _forward_cached(model, x, anorm, views):
@@ -387,14 +440,17 @@ def _forward_cached(model, x, anorm, views):
     for weight, bias, m, out in zip(model.weights, model.biases, views.m, views.h):
         h = _layer_forward(h, anorm, weight, bias, m, out)
     pooled = global_add_pool(h)
-    logits = pooled @ model.fc_weight + model.fc_bias
+    if pooled.ndim == 1:
+        logits = pooled @ model.fc_weight + model.fc_bias
+    else:  # one head product per graph: one (B, d) @ (d, C) product rounds differently
+        logits = np.array([p @ model.fc_weight + model.fc_bias for p in pooled])
     probs = softmax(logits)
     return logits, probs, pooled
 
 
 def _layer_forward(h, anorm, weight, bias, m, out):
     """One layer: m = h W, then out = relu(S m + b) in place; returns ``out``."""
-    if h.shape[1] != weight.shape[0]:
+    if h.shape[-1] != weight.shape[0]:
         raise DimensionMismatch(f"features {h.shape} do not chain with weight {weight.shape}")
     np.matmul(h, weight, out=m)
     np.add(anorm.apply(m), bias, out=out)

@@ -374,13 +374,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
     finite number of at least 1 (see ``checked_fps``), and MalformedFile,
-    naming the manifest, the video and the key, for a missing key.
+    naming the manifest, the video and the key, for a missing key or a path
+    (``mask_dir``, ``phase_csv``, ``embeddings``) that is not a string.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
     entries = _required(raw, "videos", path, "the manifest")
+    if not isinstance(entries, list):
+        raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
     fps = checked_fps(raw.get("fps", 1), path)
-    base = path.parent
     videos = []
     for index, entry in enumerate(entries):
         video_id = _required(entry, "id", path, f"video {index}")
@@ -390,9 +392,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         )
         if split not in VALID_SPLITS:
             raise ValueError(f"unknown split {split!r} for video {video_id}")
-        mask_dir = _resolve(base, mask_dir)
-        phase_csv = _resolve(base, phase_csv)
-        embeddings = _resolve(base, entry["embeddings"]) if entry.get("embeddings") else None
+        where = f"video {video_id!r}"
+        mask_dir = _resolve(path, where, "mask_dir", mask_dir)
+        phase_csv = _resolve(path, where, "phase_csv", phase_csv)
+        embeddings = entry.get("embeddings")  # absent, null or "": no table
+        if embeddings in (None, ""):
+            embeddings = None
+        else:
+            embeddings = _resolve(path, where, "embeddings", embeddings)
         if not mask_dir.is_dir():
             raise FileNotFoundError(f"mask_dir {mask_dir} for video {video_id}")
         if not phase_csv.is_file():
@@ -471,6 +478,12 @@ def _required(obj, key: str, path: Path, where: str):
     return obj[key]
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(path: Path, where: str, key: str, value) -> Path:
+    """A path ``value`` from the manifest ``path``, relative to its folder.
+
+    MalformedFile naming the manifest, ``where`` and ``key`` if it is not a string.
+    """
+    if not isinstance(value, str):
+        raise MalformedFile(f"{path}: {where} has {key!r} {value!r}, not a path string")
     p = Path(value)
-    return p if p.is_absolute() else base / p
+    return p if p.is_absolute() else path.parent / p

@@ -27,11 +27,14 @@ DENSE_NODE_LIMIT = 64
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax: shifts by the max so exp never overflows."""
+    """Stable softmax over the last axis: shifts by the max so exp never overflows.
+
+    Each row of a 2-d ``x`` comes out bitwise equal to that row's own softmax.
+    """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max()
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:
@@ -136,6 +139,11 @@ class SparseAdjacency:
         dense[self.rows, self.cols] = self.values
         return dense
 
+    @property
+    def is_dense(self) -> bool:
+        """True below ``DENSE_NODE_LIMIT`` nodes, where the operator is a dense matrix."""
+        return self._dense is not None
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """S @ x for a (node_count, k) feature matrix."""
         x = np.asarray(x, dtype=np.float64)
@@ -144,3 +152,47 @@ class SparseAdjacency:
         if self._dense is not None:
             return self._dense @ x
         return np.asarray(self._csr @ x)
+
+
+@dataclass(frozen=True)
+class DenseStack:
+    """B normalized adjacencies of one node count, stacked as ``dense`` (B, n, n).
+
+    One product then serves B graphs. Each graph's slice of it is the same
+    BLAS call on the same operands as its own ``SparseAdjacency.apply``, so
+    the results are bitwise equal.
+    """
+
+    dense: np.ndarray
+
+    @classmethod
+    def of(cls, adjacencies) -> "DenseStack":
+        """Stack adjacencies that share one node count below ``DENSE_NODE_LIMIT``.
+
+        Raises ShapeMismatch for an empty stack, mixed node counts or an
+        adjacency on the CSR path.
+        """
+        adjacencies = list(adjacencies)
+        if not adjacencies:
+            raise ShapeMismatch("a stack needs at least one adjacency")
+        n = adjacencies[0].node_count
+        for adjacency in adjacencies:
+            if adjacency.node_count != n:
+                raise ShapeMismatch(
+                    f"cannot stack a {adjacency.node_count}-node adjacency with {n}-node ones"
+                )
+            if not adjacency.is_dense:
+                raise ShapeMismatch(
+                    f"a {n}-node adjacency is on the CSR path (from {DENSE_NODE_LIMIT} nodes)"
+                )
+        return cls(np.stack([adjacency._dense for adjacency in adjacencies]))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """dense @ x for a (B, n, k) stack of feature matrices."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[:-1] != self.dense.shape[:-1]:
+            raise ShapeMismatch(
+                f"expected a stack of {self.dense.shape[0]} x {self.dense.shape[1]} rows, "
+                f"got {x.shape[:-1]}"
+            )
+        return self.dense @ x

@@ -64,7 +64,7 @@ from .ingest import (
     load_phase_labels,
 )
 from .metrics import Metrics, compute_metrics
-from .numerics import SparseAdjacency
+from .numerics import DenseStack, SparseAdjacency
 from .scene_graph import FeatureConfig, SceneGraph, build_static_graph
 
 log = logging.getLogger(__name__)
@@ -363,22 +363,43 @@ def fit(
     return model, history
 
 
+# Node rows per DenseStack that evaluate builds. A stacked layer block is
+# STACK_ROWS x width x 8 bytes (196 KB at width 96, 393 KB at 192), so it stays
+# in a core's L2 cache; on 15-node windows, stacks of 128 to 1,024 rows
+# evaluated equally fast.
+STACK_ROWS = 256
+
+
 def evaluate(
     model: GcnModel, samples: list[GraphSample], workspace: Workspace | None = None
 ) -> Metrics:
     """Window-level accuracy and macro F1 over precomputed samples.
 
+    Windows whose adjacency is dense (``SparseAdjacency.is_dense``) with
+    equal feature shapes run as stacks of at most ``STACK_ROWS`` node rows,
+    one ``forward_prepared`` call per stack; each other window is one call.
+    The predictions are bitwise those of one call per window.
     ``workspace`` holds the kernel's intermediates; None makes one for this call.
     """
     if not samples:
         raise EmptyEvalSet("no samples to evaluate")
-    truth = []
-    preds = []
     workspace = Workspace() if workspace is None else workspace
-    for sample in samples:
-        _, _, pred = forward_prepared(model, sample.x, sample.adjacency, workspace=workspace)
-        truth.append(sample.label)
-        preds.append(pred)
+    preds = np.empty(len(samples), dtype=np.int64)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, sample in enumerate(samples):
+        # an empty window, or one whose x and adjacency disagree, goes alone to raise
+        if 0 < sample.x.shape[0] == sample.adjacency.node_count and sample.adjacency.is_dense:
+            groups.setdefault(sample.x.shape, []).append(i)
+        else:
+            preds[i] = forward_prepared(model, sample.x, sample.adjacency, workspace=workspace)[2]
+    for shape, members in groups.items():
+        per_stack = STACK_ROWS // shape[0]
+        for start in range(0, len(members), per_stack):
+            stack = members[start : start + per_stack]
+            x = np.stack([samples[i].x for i in stack])
+            anorm = DenseStack.of(samples[i].adjacency for i in stack)
+            preds[stack] = forward_prepared(model, x, anorm, workspace=workspace)[2]
+    truth = [sample.label for sample in samples]
     return compute_metrics(truth, preds, model.config.num_classes)
 
 

@@ -8,6 +8,7 @@ show up when the traced benchmark runs.
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ import pytest
 import surgraph.cli
 import surgraph.gcn
 import surgraph.pipeline
-from surgraph.numerics import SparseAdjacency
-from surgraph.pipeline import TrainConfig, build_samples, split_dataset, train
+from conftest import MIXED_EVAL_WINDOWS, mixed_eval_samples
+from surgraph.numerics import DENSE_NODE_LIMIT, SparseAdjacency
+from surgraph.pipeline import STACK_ROWS, TrainConfig, build_samples, evaluate, split_dataset, train
 from surgraph.scene_graph import FeatureConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -93,6 +95,30 @@ def test_train_calls_through_the_traced_names(tiny_manifest, monkeypatch):
     assert len(history) == 3
     assert calls["loss_and_gradients_prepared"] == 3 * samples
     assert calls["adam_step"] == 3 * math.ceil(samples / cfg.batch_size)
+
+
+def test_evaluate_calls_through_the_traced_names(monkeypatch):
+    # gcn.forward_ms and its p99 time the calls evaluate makes through this
+    # attribute: one per stack of at most STACK_ROWS node rows, one per CSR
+    # window. The benchmark's p99 needs 1,000 of them per traced round.
+    rows = []  # node rows per call, and whether the call ran a stack
+    original = surgraph.pipeline.forward_prepared
+
+    def counted(model, x, anorm, workspace=None):
+        rows.append((x.shape[0] * x.shape[1], True) if x.ndim == 3 else (x.shape[0], False))
+        return original(model, x, anorm, workspace=workspace)
+
+    monkeypatch.setattr(surgraph.pipeline, "forward_prepared", counted)
+    model, samples = mixed_eval_samples()
+    evaluate(model, samples)
+    assert Counter(s.x.shape[0] for s in samples) == MIXED_EVAL_WINDOWS
+    expected = sum(
+        math.ceil(count / (STACK_ROWS // n)) if n < DENSE_NODE_LIMIT else count
+        for n, count in MIXED_EVAL_WINDOWS.items()
+    )
+    assert len(rows) == expected == 12
+    assert sum(r for r, _ in rows) == sum(s.x.shape[0] for s in samples)
+    assert all(r <= STACK_ROWS if stacked else r >= DENSE_NODE_LIMIT for r, stacked in rows)
 
 
 def test_dynamic_export_calls_through_the_traced_names(tiny_manifest, tmp_path, monkeypatch):

@@ -370,6 +370,27 @@ def test_zero_fps_manifest_exits_2_before_any_work(dataset, tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_manifest_path_that_is_no_string_exits_2_without_a_traceback(dataset, tmp_path):
+    raw = json.loads(dataset.read_text())
+    for video in raw["videos"]:
+        for key in ("mask_dir", "phase_csv"):
+            video[key] = str(dataset.parent / video[key])
+    raw["videos"][0]["mask_dir"] = 5
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgraph.cli", "build-graphs", "--manifest", str(manifest),
+         "--out", str(out), "--mode", "dynamic", "--window", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    video = raw["videos"][0]["id"]
+    assert f"error: {manifest}: video {video!r} has 'mask_dir' 5, not a path string" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_help_everywhere():
     for argv in (
         ["--help"],

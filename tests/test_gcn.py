@@ -1,12 +1,20 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+
+from conftest import damaged
 
 from surgraph.errors import (
     CorruptCheckpoint,
@@ -16,6 +24,7 @@ from surgraph.errors import (
     LabelOutOfRange,
     OutOfRange,
     ShapeMismatch,
+    SurgraphError,
     VersionMismatch,
 )
 from surgraph.gcn import (
@@ -42,7 +51,7 @@ from surgraph.gcn import (
     forward_prepared,
     zeros_like_gradients,
 )
-from surgraph.numerics import DENSE_NODE_LIMIT, grad_check, softmax
+from surgraph.numerics import DENSE_NODE_LIMIT, DenseStack, SparseAdjacency, grad_check, softmax
 from surgraph.pipeline import TrainConfig
 
 
@@ -287,6 +296,42 @@ def test_forward_probs_sum_to_one():
         assert logits.shape == probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert pred == int(np.argmax(probs))
+
+
+def _stack_case(rng, model, n, count):
+    graphs = [_random_graph(rng, n, model.config.input_dim, p_edge=min(0.4, 4.0 / n)) for _ in range(count)]
+    anorms = [normalize_adjacency(g) for g in graphs]
+    return graphs, anorms, np.stack([g.x for g in graphs]), DenseStack.of(anorms)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 33, DENSE_NODE_LIMIT - 1])
+@pytest.mark.parametrize(
+    "hidden_dims, num_classes", [((1, 3), 2), ((6, 9), 8), ((16, 8, 12), 33)]
+)
+def test_stacked_forward_matches_each_graph_bitwise(n, hidden_dims, num_classes):
+    rng = np.random.default_rng(n * 100 + num_classes)
+    cfg = GcnConfig(input_dim=5, hidden_dims=hidden_dims, num_classes=num_classes, seed=n)
+    model = init_model(cfg)
+    workspace = Workspace()
+    for count in (1, 7):
+        graphs, anorms, x, stack = _stack_case(rng, model, n, count)
+        logits, probs, preds = forward_prepared(model, x, stack, workspace=workspace)
+        assert logits.shape == probs.shape == (count, num_classes) and preds.shape == (count,)
+        for j, (g, anorm) in enumerate(zip(graphs, anorms)):
+            one_logits, one_probs, one_pred = forward_prepared(model, g.x, anorm)
+            assert np.array_equal(logits[j], one_logits)
+            assert np.array_equal(probs[j], one_probs)
+            assert preds[j] == one_pred
+
+
+def test_stacked_forward_rejects_empty_graphs_and_wrong_features():
+    model = init_model(SMALL_CFG)
+    empty = SparseAdjacency.from_triples(0, [], [], [])
+    with pytest.raises(EmptyGraph):
+        forward_prepared(model, np.zeros((2, 0, 5)), DenseStack.of([empty, empty]))
+    anorm = normalize_adjacency(FakeGraph(np.zeros((3, 9)), ((0, 1),)))
+    with pytest.raises(DimensionMismatch):
+        forward_prepared(model, np.zeros((2, 3, 9)), DenseStack.of([anorm, anorm]))
 
 
 def test_zero_model_is_uniform_and_ties_break_low():
@@ -612,11 +657,23 @@ def test_one_workspace_across_graph_sizes_matches_fresh_calls_bitwise():
         assert np.array_equal(logits, fresh_logits) and np.array_equal(probs, fresh_probs)
         assert pred == fresh_pred and loss == fresh_loss
         assert np.array_equal(grads.vector, fresh_grads.vector)
-        kept.append((logits, probs, grads, logits.copy(), probs.copy(), grads.to_vector()))
+        kept.extend((out, out.copy()) for out in (logits, probs, grads.vector))
+        if g.x.shape[0] < DENSE_NODE_LIMIT:  # the same graph in a stack of three
+            stack = DenseStack.of([anorm] * 3)
+            stacked = forward_prepared(model, np.stack([g.x] * 3), stack, workspace=workspace)
+            assert all(np.array_equal(row, fresh_logits) for row in stacked[0])
+            assert all(np.array_equal(row, fresh_probs) for row in stacked[1])
+            assert list(stacked[2]) == [fresh_pred] * 3
+            kept.extend((out, out.copy()) for out in stacked)
     # later calls write only into the workspace, never into returned arrays
-    for logits, probs, grads, logits0, probs0, grads0 in kept:
-        assert np.array_equal(logits, logits0) and np.array_equal(probs, probs0)
-        assert np.array_equal(grads.vector, grads0)
+    assert not any(
+        np.shares_memory(out, block)
+        for out, _ in kept
+        for block in (workspace._floats, workspace._bools)
+    )
+    for g in graphs:
+        forward_prepared(model, g.x, normalize_adjacency(g), workspace=workspace)
+    assert all(np.array_equal(out, copy) for out, copy in kept)
 
 
 def test_kernel_entry_points_make_no_page_faults_with_a_workspace():
@@ -628,8 +685,13 @@ def test_kernel_entry_points_make_no_page_faults_with_a_workspace():
     anorm = normalize_adjacency(g)
     w = np.linspace(0.1, 0.9, len(g.edges))
     workspace, grads = Workspace(), zeros_like_gradients(model)
+    # 16 windows of 15 nodes: 240 rows, so a 192-wide layer block is 368 KB
+    _, _, stacked_x, stack = _stack_case(np.random.default_rng(51), model, 15, 16)
     calls = {
         "forward_prepared": lambda: forward_prepared(model, g.x, anorm, workspace=workspace),
+        "stacked forward_prepared": lambda: forward_prepared(
+            model, stacked_x, stack, workspace=workspace
+        ),
         "loss_and_gradients_prepared": lambda: loss_and_gradients_prepared(
             model, g.x, anorm, 3, out=grads, workspace=workspace
         ),
@@ -715,6 +777,73 @@ def test_checkpoint_config_keys_must_match_the_config_fields(tmp_path, unknown, 
     _rewrite_header(path, edit)
     with pytest.raises(CorruptCheckpoint, match="config keys"):
         load_checkpoint(path)
+
+
+def test_config_dimensions_are_integers():
+    cfg = GcnConfig(
+        input_dim=np.int64(5), hidden_dims=[np.int32(6), 7], num_classes=np.uint8(3), seed=np.int16(2)
+    )
+    assert cfg == GcnConfig(input_dim=5, hidden_dims=(6, 7), num_classes=3, seed=2)
+    assert all(type(v) is int for v in (cfg.input_dim, *cfg.hidden_dims, cfg.num_classes, cfg.seed))
+    json.dumps(dataclasses.asdict(cfg))  # numpy ints would not serialize
+    for bad in (
+        {"input_dim": 5.0}, {"input_dim": True}, {"num_classes": np.True_}, {"seed": "0"},
+        {"hidden_dims": (6.0, 7)}, {"hidden_dims": "67"}, {"hidden_dims": 6}, {"hidden_dims": (6, 0)},
+    ):
+        with pytest.raises(ValueError):
+            GcnConfig(**{"input_dim": 5, **bad})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("input_dim", 5.0), ("num_classes", 3.0), ("hidden_dims", [6.0, 7]), ("input_dim", True),
+     ("seed", 0.5), ("hidden_dims", 6)],
+)
+def test_checkpoint_with_a_non_integer_dimension_is_corrupt(tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(SMALL_CFG), path)
+    _rewrite_header(path, lambda header: header["config"].__setitem__(key, value))
+    with pytest.raises(CorruptCheckpoint, match=f"{re.escape(str(path))}: malformed header"):
+        load_checkpoint(path)
+
+
+@functools.cache
+def _checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(init_model(SMALL_CFG), path, step=4, extra={"note": "x"})
+        return path.read_bytes()
+
+
+def _damaged_checkpoints():
+    blob = _checkpoint_bytes()
+    return damaged(blob, header=12 + struct.unpack("<I", blob[8:12])[0])
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=st.deferred(_damaged_checkpoints))
+def test_damaged_checkpoint_loads_exactly_or_raises_naming_the_file(tmp_path, case):
+    kind, blob = case
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+    try:
+        model = load_checkpoint(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        # a file of the wrong length never loads; a flip can leave it readable,
+        # and then the parameters are the file's own last bytes
+        assert kind == "flipped"
+        assert model.vector.astype("<f8").tobytes() == blob[-8 * model.vector.size :]
+    try:
+        checkpoint_header(path)  # reads the header alone
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 def test_failed_checkpoint_write_keeps_earlier_file(tmp_path, full_disk):

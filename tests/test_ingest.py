@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgraph.errors import (
     BadMagic,
@@ -41,7 +43,7 @@ from surgraph.ingest import (
     write_phase_labels,
 )
 
-from conftest import random_mask
+from conftest import damaged, random_mask
 
 
 def test_load_mask_direct_bytes():
@@ -69,6 +71,26 @@ def test_load_mask_trailing_bytes():
     mask = mask_from_bytes(b"SGM1" + struct.pack("<II", 4, 4) + bytes(16))
     with pytest.raises(TrailingBytes, match="^frame 12: 1 trailing bytes"):
         mask_from_bytes(mask_to_bytes(mask) + b"x", frame_index=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    case=st.integers(0, 2**32 - 1).flatmap(
+        lambda seed: damaged(
+            mask_to_bytes(random_mask(np.random.default_rng(seed), max_side=6)), header=12
+        )
+    ),
+)
+def test_damaged_sgm1_decodes_exactly_or_raises_naming_the_frame(case):
+    kind, blob = case
+    try:
+        mask = mask_from_bytes(blob, frame_index=31)
+    except SurgraphError as exc:
+        assert str(exc).startswith("frame 31: ")
+        return
+    # only a flip that keeps the header consistent decodes, and then exactly
+    assert kind == "flipped"
+    assert mask_to_bytes(mask) == blob
 
 
 def test_load_mask_oversize():
@@ -282,6 +304,36 @@ def test_manifest_missing_key_names_manifest_video_and_key(tmp_path, key):
         load_manifest(path)
     assert not isinstance(info.value, KeyError)
     assert str(info.value) == f"{path}: {where} has no '{key}'"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mask_dir", 5), ("phase_csv", ["a/phases.csv"]), ("embeddings", 0), ("embeddings", True)],
+)
+def test_manifest_path_that_is_no_string_names_manifest_video_and_key(tmp_path, key, value):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    video = {"id": "a", "mask_dir": "a/masks", "phase_csv": "a/phases.csv", "split": "train"}
+    path.write_text(json.dumps({"fps": 1, "videos": [{**video, key: value}]}))
+    with pytest.raises(MalformedFile) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: video 'a' has '{key}' {value!r}, not a path string"
+
+
+@pytest.mark.parametrize("embeddings", [None, ""])
+def test_manifest_null_or_empty_embeddings_mean_no_table(tmp_path, embeddings):
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    video = {"id": "a", "mask_dir": "a/masks", "phase_csv": "a/phases.csv", "split": "train"}
+    path.write_text(json.dumps({"fps": 1, "videos": [{**video, "embeddings": embeddings}]}))
+    assert load_manifest(path).videos[0].embeddings is None
+
+
+def test_manifest_videos_must_be_a_list(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"fps": 1, "videos": 5}')
+    with pytest.raises(MalformedFile, match="'videos' is not a list"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("fps", [0, -3, 0.5])

@@ -12,6 +12,7 @@ from surgraph.errors import (
 )
 from surgraph.numerics import (
     DENSE_NODE_LIMIT,
+    DenseStack,
     SparseAdjacency,
     cross_entropy,
     grad_check,
@@ -39,6 +40,45 @@ def test_softmax_shift_invariant():
     rng = np.random.default_rng(2)
     x = rng.normal(size=12)
     np.testing.assert_allclose(softmax(x), softmax(x + 123.456), atol=1e-10)
+
+
+def test_softmax_of_a_stack_matches_each_row_bitwise():
+    rng = np.random.default_rng(3)
+    for classes in range(2, 34):
+        scale = rng.choice([1e-3, 1.0, 30.0, 300.0], size=(40, 1))
+        logits = rng.normal(size=(40, classes)) * scale
+        probs = softmax(logits)
+        for row, p in zip(logits, probs):
+            assert np.array_equal(p, softmax(row))
+            e = np.exp(row - row.max())  # the one-row formula
+            assert np.array_equal(p, e / e.sum())
+
+
+def _identity(n):
+    diag = np.arange(n)
+    return SparseAdjacency.from_triples(n, diag, diag, np.ones(n))
+
+
+def test_dense_stack_takes_dense_adjacencies_of_one_node_count():
+    rng = np.random.default_rng(4)
+    a = SparseAdjacency.from_triples(3, [0, 1, 1, 2], [1, 0, 1, 2], rng.normal(size=4))
+    assert a.is_dense and _identity(DENSE_NODE_LIMIT - 1).is_dense
+    assert not _identity(DENSE_NODE_LIMIT).is_dense
+    stack = DenseStack.of([a, _identity(3), a])
+    assert stack.dense.shape == (3, 3, 3)
+    x = rng.normal(size=(3, 3, 4))
+    product = stack.apply(x)
+    for j, adjacency in enumerate([a, _identity(3), a]):
+        assert np.array_equal(product[j], adjacency.apply(x[j]))
+    for wrong in (x[0], x[:2], rng.normal(size=(3, 4, 4))):
+        with pytest.raises(ShapeMismatch):
+            stack.apply(wrong)
+    with pytest.raises(ShapeMismatch, match="cannot stack"):
+        DenseStack.of([a, _identity(4)])
+    with pytest.raises(ShapeMismatch, match="CSR"):
+        DenseStack.of([_identity(DENSE_NODE_LIMIT)])
+    with pytest.raises(ShapeMismatch):
+        DenseStack.of([])
 
 
 def test_cross_entropy_one_hot():

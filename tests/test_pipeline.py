@@ -5,8 +5,16 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import mixed_eval_samples
 from surgraph import pipeline
-from surgraph.errors import EmptyEvalSet, EmptyTrainSet, OverlappingSplits
+from surgraph.errors import (
+    DimensionMismatch,
+    EmptyEvalSet,
+    EmptyGraph,
+    EmptyTrainSet,
+    OverlappingSplits,
+    ShapeMismatch,
+)
 from surgraph.gcn import forward_prepared
 from surgraph.ingest import (
     DatasetManifest,
@@ -16,6 +24,7 @@ from surgraph.ingest import (
     write_mask,
 )
 from surgraph.metrics import compute_metrics
+from surgraph.numerics import SparseAdjacency
 from surgraph.pipeline import (
     ABLATION_CSV_HEADER,
     AblationRow,
@@ -153,6 +162,42 @@ def test_predict_matches_evaluate(tiny_manifest):
     metrics = evaluate(model, samples)
     manual = compute_metrics([s.label for s in samples], preds, model.config.num_classes)
     assert metrics.accuracy == manual.accuracy
+
+
+def test_stacked_evaluate_matches_one_forward_per_window():
+    # one shuffled list holds a node count with a single window, a group
+    # split over several stacks, and windows of 63 (dense) and 64 (CSR) nodes
+    model, samples = mixed_eval_samples()
+    preds = [forward_prepared(model, s.x, s.adjacency)[2] for s in samples]
+    assert len(set(preds)) >= 3
+    expected = compute_metrics([s.label for s in samples], preds, model.config.num_classes)
+    got = evaluate(model, samples)
+    assert (got.accuracy, got.macro_f1, got.per_class) == (
+        expected.accuracy, expected.macro_f1, expected.per_class
+    )
+    assert np.array_equal(got.confusion, expected.confusion)
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (lambda s: dataclasses.replace(s, x=s.x[:-1]), ShapeMismatch),
+        (lambda s: dataclasses.replace(s, x=s.x[:, :-1]), DimensionMismatch),
+        (
+            lambda s: dataclasses.replace(
+                s, x=s.x[:0], adjacency=SparseAdjacency.from_triples(0, [], [], [])
+            ),
+            EmptyGraph,
+        ),
+    ],
+    ids=["rows-disagree", "feature-dim", "empty"],
+)
+def test_evaluate_raises_for_a_window_the_model_cannot_take(damage, error):
+    model, samples = mixed_eval_samples()
+    k = next(k for k, s in enumerate(samples) if s.x.shape[0] == 10)  # one of a stacked group
+    samples[k] = damage(samples[k])
+    with pytest.raises(error):
+        evaluate(model, samples)
 
 
 def test_evaluate_empty():
