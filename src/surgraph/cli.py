@@ -242,7 +242,8 @@ def cmd_build_graphs(args) -> int:
                     text = json.dumps(data).replace(
                         '"nodes": []', '"nodes": ' + node_text.nodes(graph), 1
                     )
-                out_path.write_text(text + "\n")
+                with atomic_write(out_path) as fh:
+                    fh.write(text + "\n")
                 count += 1
         warn_skipped_frames(skipped, feature_cfg)
         print(f"wrote {count} {args.mode} graph files to {out_dir}")

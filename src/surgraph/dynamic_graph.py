@@ -4,6 +4,15 @@ Nodes from each included frame are kept (timestep-major), spatial edges stay
 within their frame, and temporal edges join nodes of equal class in
 consecutive timesteps. Each node's temporal feature block is overwritten with
 a sinusoidal encoding of its relative position in the window.
+
+Windows are cut from tracks. A ``Track`` concatenates static graphs once:
+their node arrays, their spatial edges and the temporal edges between
+neighbours, already in a window's edge order. The window of any run of
+consecutive track steps is then one node range and one edge range of the
+track. ``pipeline.iter_windows`` builds one track per residue of the frames
+modulo the dilation, since a dilated window holds frames of one residue,
+and cuts every window of that residue out of it; neighbouring windows share
+all but one step. Only ``x`` is copied, to write its temporal block.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,79 +149,148 @@ def _temporal_table(steps: int) -> np.ndarray:
     return table
 
 
-def build_dynamic_graph(graphs: list[SceneGraph], cfg: WindowConfig | None = None) -> DynamicGraph:
+@dataclass(frozen=True, eq=False)
+class Track(GraphArrays):
+    """Static graphs of consecutive window steps, concatenated once.
+
+    Step k is the k-th graph given to ``Track.of``. The node arrays hold
+    every step's nodes in step order, with ``x`` as the static graphs give
+    it, and ``step`` gives each node's step. ``edge_index`` holds every
+    spatial edge and every temporal edge between consecutive steps, in the
+    group order of a ``DynamicGraph``: spatial edges of step 0, temporal
+    0-1, spatial edges of step 1, ... So the window of steps
+    ``start .. stop - 1`` is the node rows
+    ``node_start[start]:node_start[stop]`` and the edge rows
+    ``group_start[2 * start]:group_start[2 * stop - 1]``, minus the node
+    offset. ``steps(start, stop)`` names such a window, and
+    ``build_dynamic_graph`` cuts it out.
+    """
+
+    frame_indices: tuple[int, ...]
+    step: np.ndarray
+    edge_kinds: np.ndarray
+    node_start: list[int]  # first node row of each step, then the node count
+    group_start: list[int]  # first edge row of group g: spatial k is 2k, temporal k-(k+1) 2k+1
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.step.flags.writeable = False
+        self.edge_kinds.flags.writeable = False
+
+    def _steps(self) -> list[int]:
+        return self.step.tolist()
+
+    @classmethod
+    def of(cls, graphs: list[SceneGraph]) -> "Track":
+        """The track of ordered static graphs (oldest first).
+
+        Temporal edges connect every pair of equal-class nodes in
+        consecutive steps; a class absent from a step breaks its chain
+        there. Raises EmptyWindow for an empty list.
+        """
+        if not graphs:
+            raise EmptyWindow("no static graphs in window")
+        feat_cfg = graphs[0].config
+        if any(g.config is not feat_cfg and g.config != feat_cfg for g in graphs[1:]):
+            raise ValueError("all graphs of a track must share one feature config")
+
+        steps = len(graphs)
+        node_counts = [g.x.shape[0] for g in graphs]
+        step = np.repeat(np.arange(steps), node_counts)
+        class_ids = np.concatenate([g.class_ids for g in graphs])
+        starts = np.cumsum(node_counts) - node_counts
+        spatial = np.concatenate([g.edge_index for g in graphs])
+        spatial += np.repeat(starts, [g.edge_index.shape[0] for g in graphs])[:, None]
+
+        # Nodes of equal class in steps s and s + 1 have keys k and k + span;
+        # the pairs come out sorted by (older, newer).
+        low = class_ids.min(initial=0)
+        span = int(class_ids.max(initial=0) - low) + 1
+        key = step * span + (class_ids - low)
+        order = np.argsort(key, kind="stable")
+        sorted_keys = key[order]
+        first = np.searchsorted(sorted_keys, key + span, "left")
+        matched = np.searchsorted(sorted_keys, key + span, "right") - first
+        older = np.repeat(np.arange(key.size), matched)
+        skip = np.repeat(first - (np.cumsum(matched) - matched), matched)
+        newer = order[skip + np.arange(older.size)]
+
+        # Stable sort on (step of the older end, group) puts every group in the
+        # documented place and keeps each group's own order.
+        ends = np.concatenate([spatial, np.stack([older, newer], 1)])
+        group = np.repeat([0, 1], [spatial.shape[0], older.size])
+        group_key = 2 * step[ends[:, 0]] + group
+        place = np.argsort(group_key, kind="stable")
+        return cls(
+            x=np.concatenate([g.x for g in graphs]),
+            class_ids=class_ids,
+            centroids=np.concatenate([g.centroids for g in graphs]),
+            sizes=np.concatenate([g.sizes for g in graphs]),
+            component_index=np.concatenate([g.component_index for g in graphs]),
+            edge_index=ends[place],
+            config=feat_cfg,
+            frame_indices=tuple(g.frame_index for g in graphs),
+            step=step,
+            edge_kinds=(group[place] > 0).astype(np.int8),
+            node_start=np.append(starts, len(step)).tolist(),
+            group_start=np.searchsorted(group_key[place], np.arange(2 * steps)).tolist(),
+        )
+
+    def steps(self, start: int, stop: int) -> "TrackSteps":
+        """The window of steps ``start .. stop - 1``."""
+        return TrackSteps(self, start, stop)
+
+
+class TrackSteps(NamedTuple):
+    """Steps ``start .. stop - 1`` of ``track``: one window's static graphs."""
+
+    track: Track
+    start: int
+    stop: int
+
+
+def build_dynamic_graph(
+    graphs: list[SceneGraph] | TrackSteps, cfg: WindowConfig | None = None
+) -> DynamicGraph:
     """Stitch ordered static graphs (oldest first) into a dynamic graph.
 
-    Temporal edges connect every pair of equal-class nodes in consecutive
-    timesteps; a class absent from a timestep breaks its chain there.
-    Raises EmptyWindow for an empty list.
+    ``graphs`` is a list of static graphs, which become one track whose
+    steps all form the window, or the steps of a ``Track``, which are cut
+    out of it. Temporal edges connect every pair of equal-class nodes in
+    consecutive timesteps; a class absent from a timestep breaks its chain
+    there. Raises EmptyWindow for no graphs.
     """
     cfg = cfg or WindowConfig()
-    if not graphs:
+    if not isinstance(graphs, TrackSteps):
+        graphs = Track.of(graphs).steps(0, len(graphs))
+    track, start, stop = graphs
+    if stop <= start:
         raise EmptyWindow("no static graphs in window")
-    feat_cfg = graphs[0].config
-    if any(g.config is not feat_cfg and g.config != feat_cfg for g in graphs[1:]):
-        raise ValueError("all graphs in a window must share one feature config")
-
-    steps = len(graphs)
-    node_counts = [g.x.shape[0] for g in graphs]
-    t = np.repeat(np.arange(steps), node_counts)
-    x = np.concatenate([g.x for g in graphs])
+    steps = stop - start
+    first, last = track.node_start[start], track.node_start[stop]
+    edges = slice(track.group_start[2 * start], track.group_start[2 * stop - 1])
+    t = track.step[first:last] - start
+    x = track.x[first:last]
+    feat_cfg = track.config
     if feat_cfg.use_temporal:
+        x = x.copy()
         x[:, feat_cfg.block_slices()["temporal"]] = _temporal_table(steps)[t]
-    class_ids = np.concatenate([g.class_ids for g in graphs])
-
-    edge_counts = [g.edge_index.shape[0] for g in graphs]
-    starts = np.cumsum(node_counts) - node_counts
-    spatial = np.concatenate([g.edge_index for g in graphs])
-    spatial += np.repeat(starts, edge_counts)[:, None]
-
-    # Nodes of equal class in steps s and s + 1 have keys k and k + span.
-    low = class_ids.min(initial=0)
-    span = int(class_ids.max(initial=0) - low) + 1
-    key = t * span + (class_ids - low)
-    older, newer = _key_matches(key, span)
-
-    # Stable sort on (step of the older end, group) puts every group in the
-    # documented place and keeps each group's own order.
-    ends = np.concatenate([spatial, np.stack([older, newer], 1)])
-    group = np.repeat([0, 1], [spatial.shape[0], older.size])
-    place = np.argsort(2 * t[ends[:, 0]] + group, kind="stable")
-
-    if cfg.label_policy == LABEL_CENTER:
-        label_frame = graphs[steps // 2].frame_index
-    else:
-        label_frame = graphs[-1].frame_index
+    frames = track.frame_indices[start:stop]
     return DynamicGraph(
         x=x,
-        class_ids=class_ids,
-        centroids=np.concatenate([g.centroids for g in graphs]),
-        sizes=np.concatenate([g.sizes for g in graphs]),
-        component_index=np.concatenate([g.component_index for g in graphs]),
-        edge_index=ends[place],
+        class_ids=track.class_ids[first:last],
+        centroids=track.centroids[first:last],
+        sizes=track.sizes[first:last],
+        component_index=track.component_index[first:last],
+        edge_index=track.edge_index[edges] - first,
         config=feat_cfg,
         window=steps,
         dilation=cfg.dilation,
-        label_frame_index=label_frame,
-        frame_indices=tuple(g.frame_index for g in graphs),
+        label_frame_index=frames[steps // 2 if cfg.label_policy == LABEL_CENTER else -1],
+        frame_indices=frames,
         t=t,
-        edge_kinds=(group[place] > 0).astype(np.int8),
+        edge_kinds=track.edge_kinds[edges],
     )
-
-
-def _key_matches(key, offset):
-    """(older, newer) node pairs with key[newer] == key[older] + offset.
-
-    Pairs come out sorted by (older, newer): the older node is the outer loop.
-    """
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    wanted = key + offset
-    first = np.searchsorted(sorted_keys, wanted, "left")
-    matched = np.searchsorted(sorted_keys, wanted, "right") - first
-    older = np.repeat(np.arange(key.size), matched)
-    skip = np.repeat(first - (np.cumsum(matched) - matched), matched)
-    return older, order[skip + np.arange(older.size)]
 
 
 # --- JSON export ----------------------------------------------------------------

@@ -32,6 +32,11 @@ class MalformedFile(SurgraphError):
     message names the file and the line, video or key."""
 
 
+class MissingPath(SurgraphError, FileNotFoundError):
+    """A folder or file that a manifest names does not exist; the message
+    names the manifest, the video and the key."""
+
+
 class DuplicateId(SurgraphError):
     """Label map contains the same class id twice."""
 

@@ -55,7 +55,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ingest import atomic_write
-from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax
+from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax, unique_sorted
 
 DEFAULT_HIDDEN_DIMS = (64, 64, 128, 128, 192, 128, 64, 64)
 
@@ -204,9 +204,7 @@ def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
     i, j = ends[:, 0], ends[:, 1]
     if w is None:
         keep = i != j
-        codes = np.sort(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
-        codes = codes[np.diff(codes, prepend=-1) != 0]  # unique, as np.unique but cheaper
-        i, j = np.divmod(codes, n)
+        i, j = np.divmod(unique_sorted(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep]), n)
         degree = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
         dinv = 1.0 / np.sqrt(degree)
         off = dinv[i] * dinv[j]

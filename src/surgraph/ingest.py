@@ -12,7 +12,8 @@ File formats:
 
 A file that breaks its format raises a ``SurgraphError`` that names it: the
 frame for a mask, the line for a phase CSV, the video and key for a
-manifest (``MalformedFile``).
+manifest (``MalformedFile``). Text that is not UTF-8, or a manifest that is
+not JSON, raises ``MalformedFile`` too.
 
 Loading is pure: loaded objects are never mutated by other modules and class
 ids pass through bit-exact (no remapping at the I/O layer).
@@ -21,6 +22,7 @@ ids pass through bit-exact (no remapping at the I/O layer).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -39,6 +41,7 @@ from .errors import (
     MalformedFile,
     MissingFrameKey,
     MissingLabel,
+    MissingPath,
     MixedDimensions,
     NonContiguousIds,
     NonFiniteEmbedding,
@@ -285,37 +288,40 @@ def load_phase_labels(
 ) -> PhaseTrack:
     """Parse a ``frame,phase`` CSV into a strictly increasing phase track.
 
-    A wrong header, or a row that is not two integers, raises MalformedFile
-    naming the file and the line.
+    A file that is not UTF-8 text, a wrong header, or a row that is not two
+    integers raises MalformedFile; a frame that does not increase raises
+    NonMonotonicFrames and a phase outside ``vocab`` UnknownPhaseId. Each
+    names the file and, past the text check, the line.
     """
     path = Path(path)
     vocab = tuple(vocab) if vocab is not None else tuple(DEFAULT_PHASE_NAMES)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_utf8_text(path), newline=""))
+    frames: list[int] = []
+    phases: list[int] = []
+    try:
         header = next(reader, None)
         if header != ["frame", "phase"]:
             raise MalformedFile(f"{path}: line 1: expected header 'frame,phase', got {header}")
-        frames: list[int] = []
-        phases: list[int] = []
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             try:
                 frame, phase = map(int, row)
             except ValueError as exc:
                 raise MalformedFile(
-                    f"{path}: line {reader.line_num}: expected two integers, got {','.join(row)!r}"
+                    f"{where}: expected two integers, got {','.join(row)!r}"
                 ) from exc
             if frames and frame <= frames[-1]:
-                raise NonMonotonicFrames(
-                    f"frame {frame} follows {frames[-1]} in {path.name}"
-                )
+                raise NonMonotonicFrames(f"{where}: frame {frame} follows {frames[-1]}")
             if not 0 <= phase < len(vocab):
                 raise UnknownPhaseId(
-                    f"phase id {phase} outside vocabulary of {len(vocab)} in {path.name}"
+                    f"{where}: phase id {phase} outside vocabulary of {len(vocab)}"
                 )
             frames.append(frame)
             phases.append(phase)
+    except csv.Error as exc:
+        raise MalformedFile(f"{path}: line {reader.line_num}: {exc}") from exc
     return PhaseTrack(
         video_id=video_id or path.stem,
         frames=np.asarray(frames, dtype=np.int64),
@@ -374,11 +380,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
     finite number of at least 1 (see ``checked_fps``), and MalformedFile,
-    naming the manifest, the video and the key, for a missing key or a path
-    (``mask_dir``, ``phase_csv``, ``embeddings``) that is not a string.
+    naming the manifest, the video and the key, for a missing key, a
+    ``split`` outside train/val/test or a path (``mask_dir``,
+    ``phase_csv``, ``embeddings``) that is not a string. A path that names
+    no folder or file raises MissingPath, a FileNotFoundError that names
+    the manifest, the video and the key.
     """
     path = Path(path)
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(_utf8_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path}: not JSON ({exc})") from exc
     entries = _required(raw, "videos", path, "the manifest")
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
@@ -390,9 +402,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             _required(entry, key, path, f"video {video_id!r}")
             for key in ("split", "mask_dir", "phase_csv")
         )
-        if split not in VALID_SPLITS:
-            raise ValueError(f"unknown split {split!r} for video {video_id}")
         where = f"video {video_id!r}"
+        if split not in VALID_SPLITS:
+            raise MalformedFile(
+                f"{path}: {where} has 'split' {split!r}, not one of {', '.join(VALID_SPLITS)}"
+            )
         mask_dir = _resolve(path, where, "mask_dir", mask_dir)
         phase_csv = _resolve(path, where, "phase_csv", phase_csv)
         embeddings = entry.get("embeddings")  # absent, null or "": no table
@@ -401,11 +415,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         else:
             embeddings = _resolve(path, where, "embeddings", embeddings)
         if not mask_dir.is_dir():
-            raise FileNotFoundError(f"mask_dir {mask_dir} for video {video_id}")
+            raise MissingPath(f"{path}: {where} has 'mask_dir' {mask_dir}, not a folder")
         if not phase_csv.is_file():
-            raise FileNotFoundError(f"phase_csv {phase_csv} for video {video_id}")
+            raise MissingPath(f"{path}: {where} has 'phase_csv' {phase_csv}, not a file")
         if embeddings is not None and not embeddings.is_file():
-            raise FileNotFoundError(f"embeddings {embeddings} for video {video_id}")
+            raise MissingPath(f"{path}: {where} has 'embeddings' {embeddings}, not a file")
         videos.append(
             VideoEntry(
                 video_id=video_id,
@@ -469,6 +483,14 @@ def list_mask_files(mask_dir: str | Path) -> list[tuple[int, Path]]:
         except ValueError:
             logger.warning("skipping mask file with non-numeric stem: %s", p.name)
     return sorted(pairs)
+
+
+def _utf8_text(path: Path) -> str:
+    """The file's text; MalformedFile naming ``path`` if it is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _required(obj, key: str, path: Path, where: str):

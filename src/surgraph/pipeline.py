@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -27,10 +28,10 @@ import numpy as np
 from .dynamic_graph import (
     LABEL_NEWEST,
     DynamicGraph,
+    Track,
     WindowConfig,
     build_dynamic_graph,
     context_seconds,
-    select_window,
 )
 from .errors import (
     EmptyEvalSet,
@@ -204,10 +205,22 @@ def iter_windows(
 
     Windows at the start of a video are shorter, and a frame missing from
     ``static`` is simply absent from the windows that would have held it.
+    The frames of a window are all equal modulo the dilation, so each window
+    is cut out of one ``Track`` of the present frames with its frame's
+    residue, built once per residue.
     """
-    for frame in sorted(static):
-        wanted = select_window(frame, window_cfg.window, window_cfg.dilation)
-        yield frame, build_dynamic_graph([static[i] for i in wanted if i in static], window_cfg)
+    dilation, reach = window_cfg.dilation, (window_cfg.window - 1) * window_cfg.dilation
+    frames = sorted(static)
+    residues: dict[int, list[int]] = {}
+    for frame in frames:
+        residues.setdefault(frame % dilation, []).append(frame)
+    tracks = {r: Track.of([static[f] for f in members]) for r, members in residues.items()}
+    for frame in frames:
+        r = frame % dilation
+        stop = bisect_right(residues[r], frame)
+        # the oldest frame is the earliest non-negative one of the residue within reach
+        start = bisect_left(residues[r], max(frame - reach, r), 0, stop)
+        yield frame, build_dynamic_graph(tracks[r].steps(start, stop), window_cfg)
 
 
 def build_samples(

@@ -22,6 +22,7 @@ from scipy import ndimage
 
 from .errors import DuplicateEntry, EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
 from .ingest import EmbeddingTable, SegmentationMask
+from .numerics import unique_sorted
 
 SPATIAL_DIM = 16
 TEMPORAL_DIM = 16
@@ -288,6 +289,22 @@ def spatial_encoding(cx: float, cy: float) -> np.ndarray:
     return out
 
 
+def spatial_encodings(centroids: np.ndarray) -> np.ndarray:
+    """``spatial_encoding`` of every (cx, cy) row of an n x 2 array, as n x 16.
+
+    Each angle is the product ``spatial_encoding`` forms, and sin and cos
+    run as one array call each, so row k is bitwise
+    ``spatial_encoding(*centroids[k])`` wherever numpy's sin and cos give
+    an array the bits they give one value (a test checks this). Raises
+    OutOfRange for the first centroid outside [0, 1]^2, with its message.
+    """
+    outside = ~((centroids >= 0.0) & (centroids <= 1.0)).all(axis=1)
+    if outside.any():
+        spatial_encoding(*centroids[np.argmax(outside)].tolist())
+    angles = centroids[:, :, None] * _SPATIAL_SCALES
+    return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(len(centroids), SPATIAL_DIM)
+
+
 def build_static_graph(
     mask: SegmentationMask,
     embeddings: EmbeddingTable | None = None,
@@ -316,8 +333,7 @@ def build_static_graph(
             raise OutOfRange(f"class id {outside[0]} outside one-hot of {cfg.num_classes}")
         x[np.arange(n), slices["class"].start + class_ids] = 1.0
     if cfg.use_spatial:
-        for row, (cx, cy) in zip(x, segments.centroids.tolist()):
-            row[slices["spatial"]] = spatial_encoding(cx, cy)
+        x[:, slices["spatial"]] = spatial_encodings(segments.centroids)
     if cfg.use_size:
         x[:, slices["size"]] = sizes[:, None]
     if cfg.use_embedding:
@@ -418,6 +434,8 @@ def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray
 
 # --- internals --------------------------------------------------------------------
 
+# 2^k * pi for k in 0..3, the angle scales of ``spatial_encoding``.
+_SPATIAL_SCALES = (2.0 ** np.arange(4)) * np.pi
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
@@ -470,7 +488,7 @@ def _edges_from_index_image(
         touching = (a != b) & (a >= 0) & (b >= 0)
         a, b = a[touching].astype(np.int64), b[touching].astype(np.int64)
         codes.append(np.minimum(a, b) * node_count + np.maximum(a, b))
-    lo, hi = np.divmod(np.unique(np.concatenate(codes)), max(node_count, 1))
+    lo, hi = np.divmod(unique_sorted(np.concatenate(codes)), max(node_count, 1))
     return np.stack([lo, hi], axis=1)
 
 

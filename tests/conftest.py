@@ -1,4 +1,5 @@
 import errno
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,11 +139,16 @@ class _FullDisk:
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Call it to make files that ``ingest.atomic_write`` opens fail after 20 bytes."""
+    """Call it to make files that ``ingest.atomic_write`` opens fail after 20
+    bytes; ``spare`` files opened first are written in full."""
 
-    def fill():
-        monkeypatch.setattr(
-            surgraph.ingest, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False
-        )
+    def fill(spare=0):
+        opened = itertools.count()
+
+        def open_on_a_full_disk(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            return fh if next(opened) < spare else _FullDisk(fh)
+
+        monkeypatch.setattr(surgraph.ingest, "open", open_on_a_full_disk, raising=False)
 
     return fill

@@ -19,6 +19,7 @@ import surgraph.pipeline
 from conftest import MIXED_EVAL_WINDOWS, mixed_eval_samples
 from surgraph.numerics import DENSE_NODE_LIMIT, SparseAdjacency
 from surgraph.pipeline import STACK_ROWS, TrainConfig, build_samples, evaluate, split_dataset, train
+from surgraph.dynamic_graph import WindowConfig
 from surgraph.scene_graph import FeatureConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -154,3 +155,23 @@ def test_dynamic_export_calls_through_the_traced_names(tiny_manifest, tmp_path, 
     files = len(list(out.glob("*.json")))
     assert files == 40
     assert calls == {"dynamic_graph_to_json": files, "dumps": files}
+
+
+def test_iter_windows_calls_through_the_traced_name_once_per_window(tiny_manifest, monkeypatch):
+    # dynamic_graph.window_ms and its p99 time the calls iter_windows makes
+    # through this attribute, one per window; the track it cuts them from is
+    # built outside them
+    built = []
+    original = surgraph.pipeline.build_dynamic_graph
+
+    def counted(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(surgraph.pipeline, "build_dynamic_graph", counted)
+    cfg = FeatureConfig(num_classes=17, use_temporal=True)
+    static = surgraph.pipeline.load_static_graphs(tiny_manifest.videos[0], cfg, [])
+    del static[7], static[20]  # gaps, as skipped frames leave them
+    windows = list(surgraph.pipeline.iter_windows(static, WindowConfig(window=5, dilation=3)))
+    assert len(windows) == len(static) == len(built)
+    assert all(dyn is call for (_, dyn), call in zip(windows, built))

@@ -391,6 +391,30 @@ def test_manifest_path_that_is_no_string_exits_2_without_a_traceback(dataset, tm
     assert not out.exists()
 
 
+def test_manifest_with_unknown_split_exits_2_without_a_traceback(dataset, tmp_path):
+    raw = json.loads(dataset.read_text())
+    for video in raw["videos"]:
+        for key in ("mask_dir", "phase_csv"):
+            video[key] = str(dataset.parent / video[key])
+    raw["videos"][0]["split"] = "holdout"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgraph.cli", "build-graphs", "--manifest", str(manifest),
+         "--out", str(out), "--mode", "dynamic", "--window", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    video = raw["videos"][0]["id"]
+    assert (
+        f"error: {manifest}: video {video!r} has 'split' 'holdout', not one of train, val, test"
+        in proc.stderr
+    )
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_help_everywhere():
     for argv in (
         ["--help"],
@@ -560,6 +584,23 @@ def test_build_graphs_dynamic_files_match_dict_path(dataset, tmp_path):
     written = {p.name: p.read_text() for p in out.glob("*.json")}
     assert written.keys() == expected.keys()
     assert [n for n in expected if written[n] != expected[n]] == []
+
+
+def test_failed_build_graphs_keeps_earlier_export_files(dataset, tmp_path, full_disk):
+    out = tmp_path / "graphs"
+    argv = ["build-graphs", "--manifest", str(dataset), "--out", str(out), "--mode", "dynamic",
+            "--window", "3", "--dilation", "1", "--split", "test"]
+    assert run([*argv, "--features", "class"]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the rerun writes other features; its second file fails part-way
+    full_disk(spare=1)
+    assert run([*argv, "--features", "class,size"]) == 2
+    now = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert now.keys() == earlier.keys()  # no temporary file is left behind
+    first, second, *rest = sorted(earlier)
+    assert now[first] != earlier[first]  # replaced whole before the failure
+    json.loads(now[first])
+    assert [name for name in [second, *rest] if now[name] != earlier[name]] == []
 
 
 def _train_argv(manifest, out, seed):

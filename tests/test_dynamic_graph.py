@@ -14,6 +14,7 @@ from surgraph.dynamic_graph import (
     EDGE_SPATIAL,
     EDGE_TEMPORAL,
     DynamicGraph,
+    Track,
     WindowConfig,
     WindowText,
     build_dynamic_graph,
@@ -26,6 +27,7 @@ from surgraph.dynamic_graph import (
 from surgraph.gcn import normalize_adjacency
 from surgraph.ingest import SegmentationMask
 from surgraph.numerics import SparseAdjacency
+from surgraph.pipeline import iter_windows
 from surgraph.scene_graph import (
     SEGMENT_MODE_COMPONENT,
     FeatureConfig,
@@ -409,6 +411,80 @@ def test_json_rejects_bad_edges():
     outside = dict(data, edges=data["edges"] + [[0, len(data["nodes"]), "temporal"]])
     with pytest.raises(OutOfRange, match=f"graph of frame {data['label_frame']}"):
         dynamic_graph_from_json(outside, CFG)
+
+
+# --- windows cut from tracks against windows built from lists ---------------------------
+
+WINDOW_ARRAYS = (
+    "x", "class_ids", "centroids", "sizes", "component_index", "t", "edge_index", "edge_kinds",
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    present=st.lists(st.integers(0, 23), min_size=1, max_size=14, unique=True),
+    window=st.integers(1, 8),
+    dilation=st.integers(1, 4),
+    label_policy=st.sampled_from(["newest", "center"]),
+    temporal=st.booleans(),
+    per_component=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iter_windows_equal_list_windows_bitwise(
+    present, window, dilation, label_policy, temporal, per_component, seed
+):
+    # the frames absent from ``present`` are the gaps a skipped frame leaves
+    cfg = FeatureConfig(
+        num_classes=6, use_spatial=True, use_size=True, use_temporal=temporal,
+        min_segment_pixels=1,
+        segment_mode=SEGMENT_MODE_COMPONENT if per_component else "per-class-region",
+    )
+    graphs = _random_graphs(np.random.default_rng(seed), sorted(present), cfg)
+    static = {g.frame_index: g for g in graphs}
+    wcfg = WindowConfig(window=window, dilation=dilation, label_policy=label_policy)
+    windows = list(iter_windows(static, wcfg))
+    assert [frame for frame, _ in windows] == sorted(static)
+    for frame, dyn in windows:
+        listed = [static[i] for i in select_window(frame, window, dilation) if i in static]
+        want = build_dynamic_graph(listed, wcfg)
+        for name in WINDOW_ARRAYS:
+            got, expected = getattr(dyn, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+            assert not got.flags.writeable, name
+        assert (dyn.window, dyn.dilation, dyn.label_frame_index, dyn.frame_indices) == (
+            want.window, want.dilation, want.label_frame_index, want.frame_indices
+        )
+        assert dyn.frame_indices == tuple(g.frame_index for g in listed)
+        # and both are the window the per-node builder makes
+        nodes, edges, label_frame = reference_window(listed, wcfg)
+        assert dyn.x.tobytes() == np.stack([n.features for n in nodes]).tobytes()
+        assert dyn.edges == tuple(edges)
+        assert dyn.label_frame_index == label_frame
+
+
+def test_track_window_is_a_range_of_the_track():
+    rows = [FRAME_07, FRAME_0, FRAME_07, FRAME_07]
+    track = Track.of([_graph(r, f, CFG) for f, r in enumerate(rows)])
+    assert [n.t for n in track.nodes] == track.step.tolist() == [0, 0, 1, 2, 2, 3, 3]
+    assert track.node_start == [0, 2, 3, 5, 7]
+    # spatial 0: (0,1); temporal 0-1: (0,2); spatial 1: none; temporal 1-2: (2,3);
+    # spatial 2: (3,4); temporal 2-3: (3,5), (4,6); spatial 3: (5,6)
+    assert track.edge_index.tolist() == [[0, 1], [0, 2], [2, 3], [3, 4], [3, 5], [4, 6], [5, 6]]
+    assert track.group_start == [0, 1, 2, 2, 3, 4, 6, 7]
+    assert all(not a.flags.writeable for a in vars(track).values() if isinstance(a, np.ndarray))
+    dyn = build_dynamic_graph(track.steps(1, 3), WindowConfig(window=2))
+    assert dyn.frame_indices == (1, 2)
+    assert dyn.edge_index.tolist() == [[0, 1], [1, 2]]
+    assert dyn.t.tolist() == [0, 1, 1]
+    with pytest.raises(EmptyWindow):
+        build_dynamic_graph(track.steps(2, 2), WindowConfig(window=2))
+
+
+def test_iter_windows_of_a_negative_frame_raise_empty_window():
+    static = {f: _graph(FRAME_0, f, CFG) for f in (-1, 0, 2)}
+    with pytest.raises(EmptyWindow):
+        list(iter_windows(static, WindowConfig(window=3, dilation=1)))
 
 
 # --- cached node text against json.dumps ----------------------------------------------

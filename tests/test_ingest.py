@@ -1,10 +1,16 @@
+import csv
+import functools
+import io
 import json
 import re
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surgraph.errors import (
@@ -13,6 +19,7 @@ from surgraph.errors import (
     MalformedFile,
     MissingFrameKey,
     MissingLabel,
+    MissingPath,
     MixedDimensions,
     NonContiguousIds,
     NonFiniteEmbedding,
@@ -276,8 +283,10 @@ def test_manifest_missing_path(tmp_path):
         '{"fps": 1, "videos": [{"id": "a", "mask_dir": "nope", '
         '"phase_csv": "nope.csv", "split": "train"}]}'
     )
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError) as info:
         load_manifest(path)
+    assert isinstance(info.value, MissingPath)
+    assert str(info.value) == f"{path}: video 'a' has 'mask_dir' {tmp_path / 'nope'}, not a folder"
 
 
 def test_manifest_bad_split(tmp_path):
@@ -287,8 +296,11 @@ def test_manifest_bad_split(tmp_path):
         '{"fps": 1, "videos": [{"id": "a", "mask_dir": "a/masks", '
         '"phase_csv": "a/phases.csv", "split": "holdout"}]}'
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedFile) as info:
         load_manifest(path)
+    assert str(info.value) == (
+        f"{path}: video 'a' has 'split' 'holdout', not one of train, val, test"
+    )
 
 
 @pytest.mark.parametrize("key", ["videos", "id", "split", "mask_dir", "phase_csv"])
@@ -394,3 +406,93 @@ def test_list_mask_files_sorted(tmp_path):
             tmp_path / f"{f}.sgm",
         )
     assert [f for f, _ in list_mask_files(tmp_path)] == [1, 2, 3]
+
+
+# --- damaged phase CSVs and manifests ---------------------------------------------
+
+PHASE_CSV = b"frame,phase\n0,0\n1,3\n4,3\n5,7\n9,12\n10,18\n"
+
+
+def _csv_rows(blob: bytes) -> list[tuple[int, int]]:
+    """The integer rows a well-formed phase CSV ``blob`` holds."""
+    rows = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
+    next(rows)
+    return [tuple(map(int, row)) for row in rows if row]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=damaged(PHASE_CSV, header=len(b"frame,phase\n")))
+def test_damaged_phase_csv_decodes_exactly_or_raises_naming_the_file(tmp_path, case):
+    _, blob = case
+    path = tmp_path / "v.csv"
+    path.write_bytes(blob)
+    try:
+        track = load_phase_labels(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a damaged file that still decodes gives exactly the integers it holds
+    assert list(zip(track.frames.tolist(), track.phases.tolist())) == _csv_rows(blob)
+
+
+@functools.cache
+def _manifest_bytes() -> bytes:
+    """A manifest of two videos, with relative paths ``a/...`` and ``b/...``."""
+    root = Path(tempfile.mkdtemp())
+    try:
+        videos = []
+        for name, split in (("a", "train"), ("b", "test")):
+            mdir, phases = _write_video(root, name)
+            embeddings = root / name / "emb.json" if name == "b" else None
+            videos.append(VideoEntry(name, mdir, phases, split, embeddings))
+        write_manifest(DatasetManifest(fps=25, videos=tuple(videos)), root / "manifest.json")
+        return (root / "manifest.json").read_bytes()
+    finally:
+        shutil.rmtree(root)
+
+
+def _damaged_manifests():
+    blob = _manifest_bytes()
+    return damaged(blob, header=blob.index(b"["))
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=st.deferred(_damaged_manifests))
+def test_damaged_manifest_decodes_exactly_or_raises_naming_the_file(tmp_path, case):
+    _, blob = case
+    for name in ("a", "b"):
+        if not (tmp_path / name).exists():
+            _write_video(tmp_path, name)
+    (tmp_path / "b" / "emb.json").write_text("{}")
+    path = tmp_path / "manifest.json"
+    path.write_bytes(blob)
+    try:
+        manifest = load_manifest(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a damaged file that still decodes gives exactly the values it holds
+    raw = json.loads(blob)
+    assert manifest.fps == raw.get("fps", 1)
+    assert [
+        (v.video_id, v.split, v.mask_dir, v.phase_csv, v.embeddings) for v in manifest.videos
+    ] == [
+        (
+            e["id"],
+            e["split"],
+            tmp_path / e["mask_dir"],
+            tmp_path / e["phase_csv"],
+            tmp_path / e["embeddings"] if e.get("embeddings") else None,
+        )
+        for e in raw["videos"]
+    ]

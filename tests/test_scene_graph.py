@@ -22,7 +22,10 @@ from surgraph.scene_graph import (
     graph_from_json,
     graph_to_json,
     spatial_encoding,
+    spatial_encodings,
 )
+from surgraph.scene_graph import _edges_from_index_image, _shifted_views
+from surgraph.numerics import unique_sorted
 
 from conftest import random_mask
 
@@ -134,6 +137,62 @@ def test_spatial_encoding_out_of_range():
         spatial_encoding(-0.1, 0.5)
     with pytest.raises(OutOfRange):
         spatial_encoding(0.5, 1.1)
+
+
+def test_spatial_encodings_equal_spatial_encoding_bitwise():
+    rng = np.random.default_rng(11)
+    exact = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 1.0], [1.0, 0.5]]
+    centroids = np.concatenate([rng.random((10_000, 2)), exact])
+    want = np.stack([spatial_encoding(cx, cy) for cx, cy in centroids.tolist()])
+    got = spatial_encodings(centroids)
+    assert got.shape == want.shape == (len(centroids), 16)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(-0.1, 0.5), (0.5, 1.1), (float("nan"), 0.2), (1.0, -0.0001)])
+def test_spatial_encodings_raise_as_spatial_encoding(bad):
+    with pytest.raises(OutOfRange) as scalar:
+        spatial_encoding(*bad)
+    # the first centroid outside [0, 1]^2 is the one named
+    centroids = np.array([[0.25, 0.75], bad, [2.0, 2.0]])
+    with pytest.raises(OutOfRange) as vectorized:
+        spatial_encodings(centroids)
+    assert str(vectorized.value) == str(scalar.value) == f"centroid {bad} outside [0,1]^2"
+
+
+def _unique_edges(index_image, connectivity, node_count):
+    """The ``np.unique`` edge dedupe that ``unique_sorted`` replaced."""
+    shifts = [(0, 1), (1, 0)] + ([(1, 1), (1, -1)] if connectivity == 8 else [])
+    codes = []
+    for dy, dx in shifts:
+        a, b = _shifted_views(index_image, dy, dx)
+        touching = (a != b) & (a >= 0) & (b >= 0)
+        a, b = a[touching].astype(np.int64), b[touching].astype(np.int64)
+        codes.append(np.minimum(a, b) * node_count + np.maximum(a, b))
+    lo, hi = np.divmod(np.unique(np.concatenate(codes)), max(node_count, 1))
+    return np.stack([lo, hi], axis=1)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("node_count", [0, 1, 2, 17, 300])
+def test_sorted_edge_dedupe_equals_np_unique(connectivity, node_count):
+    rng = np.random.default_rng(node_count * 10 + connectivity)
+    for _ in range(20):
+        h, w = rng.integers(1, 40, size=2)
+        image = rng.integers(-1, node_count, size=(h, w)).astype(np.int32)
+        if node_count:  # smooth some regions, so that a code repeats many times
+            image = np.kron(image[: -(-h // 3), : -(-w // 3)], np.ones((3, 3), np.int32))[:h, :w]
+        got = _edges_from_index_image(image, connectivity, node_count)
+        want = _unique_edges(image, connectivity, node_count)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_unique_sorted_equals_np_unique():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 1000):
+        values = rng.integers(-3, 20, size=size)
+        assert unique_sorted(values).tobytes() == np.unique(values).tobytes()
 
 
 def test_build_static_graph_class_only():
