@@ -1,8 +1,11 @@
 """Command-line entry point: graphs, training, evaluation, explanations, data.
 
-Exit codes: 0 success, 1 flag/config validation error, 2 runtime error.
-Flags are validated before anything is written; artifacts created by a
-failing command are removed again.
+Exit codes: 0 success, 1 flag/config validation error, 2 runtime error, such
+as a checkpoint whose stored training config is malformed (CorruptCheckpoint)
+or a label map or embedding table that breaks its format (MalformedFile,
+naming the file). Flags are validated before anything is written. ``run``
+hands each command one ``_Outputs`` record and, if the command fails,
+removes what was registered there.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .dynamic_graph import (
     dynamic_graph_from_json,
     dynamic_graph_to_json,
 )
-from .errors import SurgraphError
+from .errors import CorruptCheckpoint, MalformedFile, SurgraphError
 from .explain import (
     ExplainConfig,
     explain_prediction,
@@ -37,6 +40,7 @@ from .ingest import (
     default_label_map,
     load_label_map,
     load_manifest,
+    read_json,
 )
 from .pipeline import (
     TrainConfig,
@@ -88,10 +92,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs:
-    """Tracks artifacts a command creates so failures can undo them.
+    """Tracks artifacts a command creates so that ``run`` can undo them if it fails.
 
     Only paths that did not exist when registered are recorded, so a failure
-    never deletes a file the user already had.
+    never deletes a file the user already had. A directory is recorded by its
+    topmost folder that did not exist; a file's missing folders are made when
+    it is registered.
     """
 
     def __init__(self):
@@ -100,14 +106,17 @@ class _Outputs:
 
     def file(self, path: Path) -> Path:
         path = Path(path)
+        if not path.parent.exists():
+            self.directory(path.parent).mkdir(parents=True)
         if not path.exists():
             self.files.append(path)
         return path
 
     def directory(self, path: Path) -> Path:
         path = Path(path)
-        if not path.exists():
-            self.dirs.append(path)
+        missing = [p for p in (path, *path.parents) if not p.exists()]
+        if missing:
+            self.dirs.append(missing[-1])
         return path
 
     def discard(self):
@@ -167,47 +176,48 @@ def _add_feature_flags(parser):
     parser.add_argument("--connectivity", type=int, default=4, choices=[4, 8])
 
 
-def _train_config(args) -> TrainConfig:
-    base = None
-    if getattr(args, "config", None):
-        try:
-            base = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise CliValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise CliValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
-    try:
-        if base is not None:
-            cfg = TrainConfig.from_json(base)
-        else:
-            cfg = TrainConfig(feature_config=_feature_config(args))
-    except (TypeError, ValueError) as exc:
-        raise CliValidationError(f"bad training config: {exc}") from exc
+# Training flags, and the TrainConfig field each one sets.
+_TRAIN_FLAGS = {
+    "window": "window", "dilation": "dilation", "epochs": "epochs", "batch_size": "batch_size",
+    "lr": "lr", "seed": "seed", "patience": "patience", "phase_classes": "num_classes",
+}
 
-    overrides = {}
-    for flag in ("window", "dilation", "epochs", "batch_size", "lr", "seed", "patience"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    if getattr(args, "phase_classes", None) is not None:
-        overrides["num_classes"] = args.phase_classes
-    if base is not None and getattr(args, "features", None) is not None:
+
+def _train_config(args, base: TrainConfig | None) -> TrainConfig:
+    """``base`` (a --config file's or a checkpoint's config), or without one
+    the feature flags, overridden by every training flag the user set."""
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _TRAIN_FLAGS.items()
+        if getattr(args, flag, None) is not None
+    }
+    if base is None or args.features is not None:
         overrides["feature_config"] = _feature_config(args)
-    return _replace_config(cfg, overrides)
-
-
-def _replace_config(cfg: TrainConfig, overrides: dict) -> TrainConfig:
-    if not overrides:
-        return cfg
     try:
-        return replace(cfg, **overrides)
+        return replace(TrainConfig() if base is None else base, **overrides)
     except ValueError as exc:
+        raise CliValidationError(str(exc)) from exc
+
+
+def _config_from_json(data, source, error=CliValidationError) -> TrainConfig:
+    """``TrainConfig.from_json(data)``; ``error`` naming ``source`` if ``data`` is no config."""
+    try:
+        return TrainConfig.from_json(data)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{source}: bad training config: {exc}") from exc
+
+
+def _read_json_flag(path: str):
+    """The JSON in a --config or --grid file; CliValidationError if it cannot be read."""
+    try:
+        return read_json(path)
+    except (OSError, MalformedFile) as exc:
         raise CliValidationError(str(exc)) from exc
 
 
 # --- subcommands -------------------------------------------------------------------
 
-def cmd_build_graphs(args) -> int:
+def cmd_build_graphs(args, outputs: _Outputs) -> int:
     feature_cfg = _feature_config(args)
     window_cfg = None
     if args.mode == "dynamic":
@@ -217,95 +227,72 @@ def cmd_build_graphs(args) -> int:
             raise CliValidationError(str(exc)) from exc
     manifest = load_manifest(args.manifest)
 
-    outputs = _Outputs()
     out_dir = outputs.directory(Path(args.out))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        skipped: list[str] = []
-        for video in manifest.videos:
-            if args.split and video.split != args.split:
-                continue
-            static = load_static_graphs(video, feature_cfg, skipped)
-            # Renders each frame's node text once for all the windows that hold it.
-            node_text = WindowText(static)
-            graphs = static.items() if args.mode == "static" else iter_windows(static, window_cfg)
-            for frame, graph in graphs:
-                out_path = outputs.file(out_dir / f"{video.video_id}_{frame:06d}.json")
-                if args.mode == "static":
-                    text = json.dumps(graph_to_json(graph))
-                else:
-                    data = dynamic_graph_to_json(graph, nodes=False)
-                    data["context_s"] = context_seconds(
-                        args.window, args.dilation, manifest.fps
-                    )
-                    text = json.dumps(data).replace(
-                        '"nodes": []', '"nodes": ' + node_text.nodes(graph), 1
-                    )
-                with atomic_write(out_path) as fh:
-                    fh.write(text + "\n")
-                count += 1
-        warn_skipped_frames(skipped, feature_cfg)
-        print(f"wrote {count} {args.mode} graph files to {out_dir}")
-        return 0
-    except Exception:
-        outputs.discard()
-        raise
+    out_dir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    skipped: list[str] = []
+    for video in manifest.videos:
+        if args.split and video.split != args.split:
+            continue
+        static = load_static_graphs(video, feature_cfg, skipped)
+        # Renders each frame's node text once for all the windows that hold it.
+        node_text = WindowText(static)
+        graphs = static.items() if args.mode == "static" else iter_windows(static, window_cfg)
+        for frame, graph in graphs:
+            out_path = outputs.file(out_dir / f"{video.video_id}_{frame:06d}.json")
+            if args.mode == "static":
+                text = json.dumps(graph_to_json(graph))
+            else:
+                data = dynamic_graph_to_json(graph, nodes=False)
+                data["context_s"] = context_seconds(args.window, args.dilation, manifest.fps)
+                text = json.dumps(data).replace(
+                    '"nodes": []', '"nodes": ' + node_text.nodes(graph), 1
+                )
+            with atomic_write(out_path) as fh:
+                fh.write(text + "\n")
+            count += 1
+    warn_skipped_frames(skipped, feature_cfg)
+    print(f"wrote {count} {args.mode} graph files to {out_dir}")
+    return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _train_config(args)
+def cmd_train(args, outputs: _Outputs) -> int:
+    base = _config_from_json(_read_json_flag(args.config), args.config) if args.config else None
+    cfg = _train_config(args, base)
     manifest = load_manifest(args.manifest)
-    outputs = _Outputs()
-    try:
-        model, history = train(cfg, manifest)
-        save_checkpoint(
-            model,
-            outputs.file(Path(args.out_checkpoint)),
-            step=len(history),
-            extra={"train_config": cfg.to_json()},
-        )
-        if args.history:
-            write_history(history, outputs.file(Path(args.history)))
-        val_epochs = [h for h in history if "val_accuracy" in h]
-        if val_epochs:
-            best = max(val_epochs, key=lambda h: h["val_accuracy"])
-            accuracy, macro_f1 = best["val_accuracy"], best["val_macro_f1"]
-        else:
-            accuracy, macro_f1 = history[-1]["train_accuracy"], history[-1]["train_macro_f1"]
-        print(f"accuracy={accuracy:.6f} macro_f1={macro_f1:.6f}")
-        return 0
-    except Exception:
-        outputs.discard()
-        raise
-
-
-def cmd_eval(args) -> int:
-    header = checkpoint_header(args.checkpoint)
-    model = load_checkpoint(args.checkpoint)
-    stored = header.get("extra", {}).get("train_config")
-    if stored is not None:
-        cfg = TrainConfig.from_json(stored)
+    model, history = train(cfg, manifest)
+    save_checkpoint(
+        model,
+        outputs.file(Path(args.out_checkpoint)),
+        step=len(history),
+        extra={"train_config": cfg.to_json()},
+    )
+    if args.history:
+        write_history(history, outputs.file(Path(args.history)))
+    val_epochs = [h for h in history if "val_accuracy" in h]
+    if val_epochs:
+        best = max(val_epochs, key=lambda h: h["val_accuracy"])
+        accuracy, macro_f1 = best["val_accuracy"], best["val_macro_f1"]
     else:
-        cfg = _train_config(args)
-    overrides = {}
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.dilation is not None:
-        overrides["dilation"] = args.dilation
-    if args.features is not None:
-        overrides["feature_config"] = _feature_config(args)
-    cfg = _replace_config(cfg, overrides)
+        accuracy, macro_f1 = history[-1]["train_accuracy"], history[-1]["train_macro_f1"]
+    print(f"accuracy={accuracy:.6f} macro_f1={macro_f1:.6f}")
+    return 0
 
+
+def cmd_eval(args, outputs: _Outputs) -> int:
+    stored = checkpoint_header(args.checkpoint).get("extra", {}).get("train_config")
+    model = load_checkpoint(args.checkpoint)
+    if stored is not None:  # the checkpoint's own config, so a bad one is a corrupt checkpoint
+        stored = _config_from_json(stored, args.checkpoint, CorruptCheckpoint)
+    cfg = _train_config(args, stored)
     manifest = load_manifest(args.manifest)
     videos = [v for v in manifest.videos if v.split == args.split]
-    samples = build_samples(videos, cfg)
-    metrics = evaluate(model, samples)
+    metrics = evaluate(model, build_samples(videos, cfg))
     print(f"accuracy={metrics.accuracy:.6f} macro_f1={metrics.macro_f1:.6f}")
     return 0
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args, outputs: _Outputs) -> int:
     try:
         explain_cfg = ExplainConfig(
             iterations=args.iterations,
@@ -316,47 +303,37 @@ def cmd_explain(args) -> int:
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
     model = load_checkpoint(args.checkpoint)
-    data = json.loads(Path(args.graph).read_text())
+    data = read_json(args.graph)
     if "window" in data:
         graph = dynamic_graph_from_json(data)
     else:
         graph = graph_from_json(data)
     label_map = load_label_map(args.label_map) if args.label_map else default_label_map()
 
-    outputs = _Outputs()
-    try:
-        explanation = explain_prediction(model, graph, explain_cfg)
-        dot = export_dot(graph, explanation, label_map)
-        with atomic_write(outputs.file(Path(args.dot_out))) as fh:
-            fh.write(dot)
-        if args.json_out:
-            write_explanation_json(explanation, graph, outputs.file(Path(args.json_out)))
-        if len(explanation.edge_importance):
-            top = int(explanation.edge_importance.argmax())
-            i, j = graph.edge_index[top].tolist()
-            print(
-                f"explained class {explanation.target_class}: top edge "
-                f"({i},{j}) importance "
-                f"{explanation.edge_importance[top]:.3f}"
-            )
-        else:
-            print(f"explained class {explanation.target_class}: graph has no edges")
-        return 0
-    except Exception:
-        outputs.discard()
-        raise
+    explanation = explain_prediction(model, graph, explain_cfg)
+    dot = export_dot(graph, explanation, label_map)
+    with atomic_write(outputs.file(Path(args.dot_out))) as fh:
+        fh.write(dot)
+    if args.json_out:
+        write_explanation_json(explanation, graph, outputs.file(Path(args.json_out)))
+    if len(explanation.edge_importance):
+        top = int(explanation.edge_importance.argmax())
+        i, j = graph.edge_index[top].tolist()
+        print(
+            f"explained class {explanation.target_class}: top edge "
+            f"({i},{j}) importance "
+            f"{explanation.edge_importance[top]:.3f}"
+        )
+    else:
+        print(f"explained class {explanation.target_class}: graph has no edges")
+    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, outputs: _Outputs) -> int:
     configs: list[SynthConfig] = []
     fps = 1
     if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise CliValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise CliValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
+        raw = _read_json_flag(args.config)
         try:
             if isinstance(raw, dict) and "videos" in raw:
                 fps = checked_fps(raw.get("fps", 1), args.config)
@@ -369,59 +346,36 @@ def cmd_synth(args) -> int:
             raise CliValidationError(f"bad synth config: {exc}") from exc
     else:
         preset = _PRESETS[args.preset]
-        splits = [("train", args.train), ("val", args.val), ("test", args.test)]
-        index = 0
-        for split, count in splits:
-            for _ in range(count):
-                configs.append(
-                    preset(
-                        n_frames=args.n_frames,
-                        seed=(args.seed or 0) + index,
-                        video_id=f"{split}{index:02d}",
-                        split=split,
-                    )
-                )
-                index += 1
+        splits = ["train"] * args.train + ["val"] * args.val + ["test"] * args.test
+        configs = [
+            preset(n_frames=args.n_frames, seed=(args.seed or 0) + index,
+                   video_id=f"{split}{index:02d}", split=split)
+            for index, split in enumerate(splits)
+        ]
     if not configs:
         raise CliValidationError("synth config defines no videos")
 
-    outputs = _Outputs()
     out_dir = outputs.directory(Path(args.out))
-    try:
-        manifest_path, manifest = generate_dataset(out_dir, configs, fps=fps)
-        total = sum(cfg.n_frames for cfg in configs)
-        print(
-            f"wrote {len(configs)} videos ({total} frames) to {out_dir}; "
-            f"manifest at {manifest_path}"
-        )
-        return 0
-    except Exception:
-        outputs.discard()
-        raise
+    manifest_path, manifest = generate_dataset(out_dir, configs, fps=fps)
+    total = sum(cfg.n_frames for cfg in configs)
+    print(
+        f"wrote {len(configs)} videos ({total} frames) to {out_dir}; "
+        f"manifest at {manifest_path}"
+    )
+    return 0
 
 
-def cmd_ablate(args) -> int:
-    try:
-        raw = json.loads(Path(args.grid).read_text())
-        if not isinstance(raw, list):
-            raise ValueError("grid must be a JSON array of training configs")
-        grid = [TrainConfig.from_json(entry) for entry in raw]
-    except OSError as exc:
-        raise CliValidationError(f"cannot read grid {args.grid}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CliValidationError(f"bad ablation grid: {exc}") from exc
+def cmd_ablate(args, outputs: _Outputs) -> int:
+    raw = _read_json_flag(args.grid)
+    if not isinstance(raw, list):
+        raise CliValidationError(f"{args.grid}: grid must be a JSON array of training configs")
+    grid = [_config_from_json(entry, f"{args.grid}: entry {k}") for k, entry in enumerate(raw)]
     manifest = load_manifest(args.manifest)
-
-    outputs = _Outputs()
-    try:
-        rows = run_ablation(grid, manifest)
-        write_ablation_csv(rows, outputs.file(Path(args.out_csv)), fps=manifest.fps)
-        failed = sum(1 for r in rows if r.metrics is None)
-        print(f"wrote {len(rows)} ablation rows to {args.out_csv} ({failed} failed)")
-        return 0
-    except Exception:
-        outputs.discard()
-        raise
+    rows = run_ablation(grid, manifest)
+    write_ablation_csv(rows, outputs.file(Path(args.out_csv)), fps=manifest.fps)
+    failed = sum(1 for r in rows if r.metrics is None)
+    print(f"wrote {len(rows)} ablation rows to {args.out_csv} ({failed} failed)")
+    return 0
 
 
 # --- parser ------------------------------------------------------------------------
@@ -500,12 +454,18 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
+    """Run one command; undo its registered outputs if it fails; map errors to exit codes."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    outputs = _Outputs()
     try:
-        return args.func(args)
+        try:
+            return args.func(args, outputs)
+        except BaseException:
+            outputs.discard()
+            raise
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

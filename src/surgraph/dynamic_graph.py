@@ -177,9 +177,6 @@ class Track(GraphArrays):
         self.step.flags.writeable = False
         self.edge_kinds.flags.writeable = False
 
-    def _steps(self) -> list[int]:
-        return self.step.tolist()
-
     @classmethod
     def of(cls, graphs: list[SceneGraph]) -> "Track":
         """The track of ordered static graphs (oldest first).

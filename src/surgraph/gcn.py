@@ -55,7 +55,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ingest import atomic_write
-from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax, unique_sorted
+from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax
 
 DEFAULT_HIDDEN_DIMS = (64, 64, 128, 128, 192, 128, 64, 64)
 
@@ -186,14 +186,12 @@ def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
     """Dhat^{-1/2} (A + I) Dhat^{-1/2} over the graph's undirected edges.
 
     Reads the graph's ``x`` (for the node count) and its E x 2
-    ``edge_index``. Spatial and temporal edges are treated identically;
-    self-loops and repeated or reversed edges count once. Raises OutOfRange
-    for an edge end outside the graph's nodes.
-
-    With per-edge weights ``w`` (one per row of ``edge_index``), edge e
-    enters A as w_e, so degrees become 1 + sum of incident w. Edges are then
+    ``edge_index``. Spatial and temporal edges are treated identically.
+    Edge e enters A as its weight w_e (one per row of ``edge_index``, 1
+    without ``w``), so degrees become 1 + sum of incident w. Edges are
     taken as given: a self-loop or a repeated or reversed pair raises
-    DuplicateEntry.
+    DuplicateEntry. Raises OutOfRange for an edge end outside the graph's
+    nodes.
     """
     n = graph.x.shape[0]
     if n == 0:
@@ -202,19 +200,12 @@ def normalize_adjacency(graph, w: np.ndarray | None = None) -> SparseAdjacency:
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise OutOfRange(f"edge end outside the graph's {n} nodes")
     i, j = ends[:, 0], ends[:, 1]
-    if w is None:
-        keep = i != j
-        i, j = np.divmod(unique_sorted(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep]), n)
-        degree = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-        dinv = 1.0 / np.sqrt(degree)
-        off = dinv[i] * dinv[j]
-    else:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != i.shape:
-            raise ShapeMismatch(f"edge weights of shape {w.shape} for {len(i)} edges")
-        incident = np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
-        dinv = 1.0 / np.sqrt(1.0 + incident)
-        off = w * dinv[i] * dinv[j]
+    w = np.ones(len(i)) if w is None else np.asarray(w, dtype=np.float64)
+    if w.shape != i.shape:
+        raise ShapeMismatch(f"edge weights of shape {w.shape} for {len(i)} edges")
+    incident = np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
+    dinv = 1.0 / np.sqrt(1.0 + incident)
+    off = w * dinv[i] * dinv[j]
     diag = np.arange(n)
     return SparseAdjacency.from_triples(
         n,
@@ -602,6 +593,8 @@ def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict):
         raise CorruptCheckpoint(f"{path}: malformed header (not a JSON object)")
+    if not isinstance(header.get("extra", {}), dict):
+        raise CorruptCheckpoint(f"{path}: malformed header ('extra' is not an object)")
     return data, header, 12 + header_len
 
 

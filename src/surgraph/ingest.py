@@ -12,8 +12,9 @@ File formats:
 
 A file that breaks its format raises a ``SurgraphError`` that names it: the
 frame for a mask, the line for a phase CSV, the video and key for a
-manifest (``MalformedFile``). Text that is not UTF-8, or a manifest that is
-not JSON, raises ``MalformedFile`` too.
+manifest, the entry for a label map, and the frame and segment for an
+embedding table (``MalformedFile``). JSON files are read by ``read_json``,
+so text that is not UTF-8, or not JSON, raises ``MalformedFile`` too.
 
 Loading is pure: loaded objects are never mutated by other modules and class
 ids pass through bit-exact (no remapping at the I/O layer).
@@ -257,44 +258,56 @@ def atomic_write(path: str | Path, mode: str = "w"):
 # --- label maps ---------------------------------------------------------------
 
 def load_label_map(path: str | Path) -> LabelMap:
-    """Load a JSON label map, enforcing unique, contiguous ids from 0."""
-    entries = json.loads(Path(path).read_text())
-    return label_map_from_entries([(e["id"], e["name"]) for e in entries])
+    """Load a JSON label map, enforcing unique, contiguous ids from 0.
+
+    Raises MalformedFile, naming the file and the entry index, for a top
+    level that is not a list, an entry that is not an object, or a missing
+    or mistyped ``id`` or ``name``. DuplicateId and NonContiguousIds name
+    the file too.
+    """
+    path = Path(path)
+    entries = read_json(path)
+    if not isinstance(entries, list):
+        raise MalformedFile(f"{path}: the top level is a {type(entries).__name__}, not an array")
+    for index, e in enumerate(entries):
+        ok = isinstance(e, dict) and _is_number(e.get("id"), int) and isinstance(e.get("name"), str)
+        if not ok:
+            raise MalformedFile(
+                f"{path}: entry {index} is not an object with an integer 'id' and a string 'name'"
+            )
+    return label_map_from_entries([(e["id"], e["name"]) for e in entries], source=path)
 
 
-def label_map_from_entries(entries: list[tuple[int, str]]) -> LabelMap:
+def label_map_from_entries(
+    entries: list[tuple[int, str]], source: str | Path = "label map"
+) -> LabelMap:
+    """The label map of (id, name) pairs; errors name ``source``."""
     ids = [i for i, _ in entries]
     if len(set(ids)) != len(ids):
-        raise DuplicateId(f"duplicate class ids in {sorted(ids)}")
+        raise DuplicateId(f"{source}: duplicate class ids in {sorted(ids)}")
     if sorted(ids) != list(range(len(ids))):
-        raise NonContiguousIds(f"ids {sorted(ids)} are not 0..{len(ids) - 1}")
+        raise NonContiguousIds(f"{source}: ids {sorted(ids)} are not 0..{len(ids) - 1}")
     names = [name for _, name in sorted(entries)]
     return LabelMap(names=tuple(names))
 
 
 def default_label_map() -> LabelMap:
     """The bundled 17-class CaDIS Task II label map."""
-    ref = resources.files("surgraph.data").joinpath("cadis_task2.json")
-    entries = json.loads(ref.read_text())
-    return label_map_from_entries([(e["id"], e["name"]) for e in entries])
+    with resources.as_file(resources.files("surgraph.data") / "cadis_task2.json") as path:
+        return load_label_map(path)
 
 
 # --- phase annotations ----------------------------------------------------------
 
-def load_phase_labels(
-    path: str | Path,
-    vocab: tuple[str, ...] | list[str] | None = None,
-    video_id: str | None = None,
-) -> PhaseTrack:
+def load_phase_labels(path: str | Path, video_id: str | None = None) -> PhaseTrack:
     """Parse a ``frame,phase`` CSV into a strictly increasing phase track.
 
     A file that is not UTF-8 text, a wrong header, or a row that is not two
     integers raises MalformedFile; a frame that does not increase raises
-    NonMonotonicFrames and a phase outside ``vocab`` UnknownPhaseId. Each
-    names the file and, past the text check, the line.
+    NonMonotonicFrames and a phase outside ``DEFAULT_PHASE_NAMES``
+    UnknownPhaseId. Each names the file and, past the text check, the line.
     """
     path = Path(path)
-    vocab = tuple(vocab) if vocab is not None else tuple(DEFAULT_PHASE_NAMES)
     reader = csv.reader(io.StringIO(_utf8_text(path), newline=""))
     frames: list[int] = []
     phases: list[int] = []
@@ -314,9 +327,9 @@ def load_phase_labels(
                 ) from exc
             if frames and frame <= frames[-1]:
                 raise NonMonotonicFrames(f"{where}: frame {frame} follows {frames[-1]}")
-            if not 0 <= phase < len(vocab):
+            if not 0 <= phase < len(DEFAULT_PHASE_NAMES):
                 raise UnknownPhaseId(
-                    f"{where}: phase id {phase} outside vocabulary of {len(vocab)}"
+                    f"{where}: phase id {phase} outside vocabulary of {len(DEFAULT_PHASE_NAMES)}"
                 )
             frames.append(frame)
             phases.append(phase)
@@ -342,29 +355,38 @@ def write_phase_labels(track: PhaseTrack, path: str | Path) -> None:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load per-frame segment embeddings; all vectors must share one length.
 
-    Raises MixedDimensions for vectors of different lengths and
+    Raises MalformedFile, naming the file and the frame or segment, for a
+    top level or frame that is not an object, a frame key that is not a
+    frame number (or repeats one) and a vector that is not a list of
+    numbers. Raises MixedDimensions for vectors of different lengths and
     NonFiniteEmbedding for a NaN or infinite entry, which ``json.loads``
-    would otherwise accept.
+    would otherwise accept; both name the file too.
     """
-    raw = json.loads(Path(path).read_text())
+    path = Path(path)
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise MalformedFile(f"{path}: the top level is a {type(raw).__name__}, not an object")
     frames: dict[int, dict[str, np.ndarray]] = {}
     dimension: int | None = None
     for frame_key, segments in raw.items():
+        if not (frame_key.isascii() and frame_key.isdigit()):
+            raise MalformedFile(f"{path}: frame key {frame_key!r} is not a frame number")
+        if int(frame_key) in frames:
+            raise MalformedFile(f"{path}: frame key {frame_key!r} repeats frame {int(frame_key)}")
+        if not isinstance(segments, dict):
+            raise MalformedFile(f"{path}: frame {frame_key} is not an object of segment vectors")
         table: dict[str, np.ndarray] = {}
         for segment_key, values in segments.items():
+            where = f"{path}: embedding of frame {frame_key}, segment {segment_key}"
+            if not isinstance(values, list) or not all(map(_is_number, values)):
+                raise MalformedFile(f"{where} is not a list of numbers")
             vec = np.asarray(values, dtype=np.float64)
             if dimension is None:
                 dimension = vec.shape[0]
             elif vec.shape[0] != dimension:
-                raise MixedDimensions(
-                    f"vector for {segment_key}@{frame_key} has length "
-                    f"{vec.shape[0]}, expected {dimension}"
-                )
+                raise MixedDimensions(f"{where} has length {vec.shape[0]}, expected {dimension}")
             if not np.isfinite(vec).all():
-                raise NonFiniteEmbedding(
-                    f"{path}: embedding of frame {frame_key}, segment {segment_key} "
-                    "holds a non-finite value"
-                )
+                raise NonFiniteEmbedding(f"{where} holds a non-finite value")
             table[segment_key] = vec
         frames[int(frame_key)] = table
     return EmbeddingTable(frames=frames, dimension=dimension)
@@ -387,10 +409,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     the manifest, the video and the key.
     """
     path = Path(path)
-    try:
-        raw = json.loads(_utf8_text(path))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: not JSON ({exc})") from exc
+    raw = read_json(path)
     entries = _required(raw, "videos", path, "the manifest")
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
@@ -475,14 +494,35 @@ def checked_fps(value, source: str | Path) -> float:
 
 
 def list_mask_files(mask_dir: str | Path) -> list[tuple[int, Path]]:
-    """(frame_index, path) pairs for every ``*.sgm`` file, sorted by frame."""
+    """(frame_index, path) pairs for every ``*.sgm`` file, sorted by frame.
+
+    A file whose stem is not a frame number (an integer of at least 0) is
+    skipped with a warning that names it.
+    """
     pairs = []
     for p in Path(mask_dir).glob("*.sgm"):
         try:
-            pairs.append((int(p.stem), p))
+            frame = int(p.stem)
         except ValueError:
-            logger.warning("skipping mask file with non-numeric stem: %s", p.name)
+            frame = -1
+        if frame < 0:
+            logger.warning("skipping mask file whose stem is not a frame number: %s", p)
+        else:
+            pairs.append((frame, p))
     return sorted(pairs)
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``.
+
+    Raises MalformedFile, naming the file, for text that is not UTF-8 or
+    not JSON.
+    """
+    path = Path(path)
+    try:
+        return json.loads(_utf8_text(path))
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise MalformedFile(f"{path}: not JSON ({exc})") from exc
 
 
 def _utf8_text(path: Path) -> str:
@@ -491,6 +531,11 @@ def _utf8_text(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether a JSON ``value`` is a number of ``kind``; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _required(obj, key: str, path: Path, where: str):

@@ -112,8 +112,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.window < 1 or self.dilation < 1:
-            raise ValueError("window and dilation must be >= 1")
+        self.window_config()  # validates window, dilation and label_policy
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -129,7 +128,11 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        """The config ``to_json`` wrote; absent fields take their defaults."""
+        """The config ``to_json`` wrote; absent fields take their defaults.
+
+        TypeError or ValueError for data that is not an object, an unknown key
+        or a bad value.
+        """
         return cls(**{**data, "feature_config": FeatureConfig(**data.get("feature_config", {}))})
 
 

@@ -39,6 +39,15 @@ def random_mask(rng, max_side=32, max_classes=8, frame_index=0) -> SegmentationM
     return SegmentationMask(width=w, height=h, class_ids=ids, frame_index=frame_index)
 
 
+def distinct_pairs(ends: np.ndarray) -> np.ndarray:
+    """The undirected pairs among the rows of ``ends``, each once, without self-loops.
+
+    ``normalize_adjacency`` takes edges as given, so random edges go through this first.
+    """
+    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+    return np.unique(ends, axis=0).reshape(-1, 2)
+
+
 def mixed_eval_samples(seed=2, input_dim=6, num_classes=4):
     """A model and a shuffled list of labelled windows of ``MIXED_EVAL_WINDOWS`` node counts."""
     rng = np.random.default_rng(seed)
@@ -48,7 +57,7 @@ def mixed_eval_samples(seed=2, input_dim=6, num_classes=4):
     samples = []
     for n, count in MIXED_EVAL_WINDOWS.items():
         for _ in range(count):
-            ends = rng.integers(0, n, size=(2 * n, 2))
+            ends = distinct_pairs(rng.integers(0, n, size=(2 * n, 2)))
             graph = SimpleNamespace(x=rng.normal(size=(n, input_dim)), edge_index=ends)
             label = int(rng.integers(num_classes))
             samples.append(

@@ -1,4 +1,6 @@
 import json
+import logging
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import surgraph.pipeline
 from surgraph.cli import run
 from surgraph.gcn import GcnConfig, init_model, save_checkpoint
 from surgraph.ingest import list_mask_files, load_manifest, load_mask
-from surgraph.pipeline import ABLATION_CSV_HEADER, TrainConfig
+from surgraph.pipeline import ABLATION_CSV_HEADER, TrainConfig, build_samples
 from surgraph.scene_graph import FeatureConfig
 
 
@@ -179,6 +181,116 @@ def test_eval_feature_dim_mismatch_names_both_dims(dataset, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "17" in err and "10" in err
+
+
+@pytest.mark.parametrize(
+    "stored, detail",
+    [
+        ([1, 2], "'list' object is not a mapping"),
+        ({"window": 3, "colour": "red"}, "unexpected keyword argument 'colour'"),
+        ({"window": 0}, "window and dilation must be >= 1"),
+    ],
+    ids=["not-an-object", "unknown-key", "bad-value"],
+)
+def test_eval_malformed_stored_config_is_a_corrupt_checkpoint(
+    dataset, tmp_path, capsys, stored, detail
+):
+    model = init_model(GcnConfig(input_dim=17, hidden_dims=(4,), num_classes=19))
+    ckpt = tmp_path / "stored.ckpt"
+    save_checkpoint(model, ckpt, extra={"train_config": stored})
+    assert run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: bad training config: ") and detail in err
+
+
+def test_train_config_with_unknown_label_policy_exits_1(dataset, tmp_path, capsys):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"label_policy": "middle", "epochs": 1}))
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--manifest", str(dataset), "--config", str(config),
+            "--out-checkpoint", str(ckpt)]
+    assert run(argv) == 1
+    assert "unknown label_policy 'middle'" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_explain_malformed_label_map_exits_2_without_a_traceback(checkpoint, dataset, tmp_path):
+    ckpt, _ = checkpoint
+    graphs = tmp_path / "graphs"
+    assert run(["build-graphs", "--manifest", str(dataset), "--out", str(graphs),
+                "--split", "test", "--num-classes", "17"]) == 0
+    label_map = tmp_path / "labels.json"
+    label_map.write_text('[{"id": 0, "name": "Pupil"}, {"id": "1", "name": "Iris"}]')
+    dot_out = tmp_path / "expl.dot"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgraph.cli", "explain", "--checkpoint", str(ckpt),
+         "--graph", str(sorted(graphs.glob("*.json"))[0]), "--dot-out", str(dot_out),
+         "--label-map", str(label_map), "--iterations", "5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"error: {label_map}: entry 1 " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not dot_out.exists()
+
+
+def test_negative_mask_stem_is_skipped_with_a_warning(dataset, tmp_path, caplog):
+    data = tmp_path / "data"
+    shutil.copytree(dataset.parent, data)
+    manifest = load_manifest(data / "manifest.json")
+    cfg = TrainConfig(feature_config=FeatureConfig(num_classes=17), window=3, dilation=2)
+
+    def outputs(name):
+        samples = [
+            (s.video_id, s.frame_index, s.label, s.x.tobytes(), s.adjacency.rows.tobytes(),
+             s.adjacency.cols.tobytes(), s.adjacency.values.tobytes())
+            for s in build_samples(manifest.videos, cfg)
+        ]
+        out = tmp_path / name
+        assert run(["build-graphs", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                    "--mode", "dynamic", "--window", "3", "--dilation", "2",
+                    "--num-classes", "17"]) == 0
+        return samples, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    before = outputs("before")
+    stray = manifest.videos[0].mask_dir / "-000001.sgm"
+    shutil.copy(stray.with_name("000000.sgm"), stray)
+    with caplog.at_level(logging.WARNING, logger="surgraph.ingest"):
+        after = outputs("after")
+    assert after == before
+    assert f"skipping mask file whose stem is not a frame number: {stray}" in caplog.text
+
+
+def test_outputs_make_missing_folders_that_a_failure_removes(
+    checkpoint, dataset, tmp_path, full_disk
+):
+    ckpt, _ = checkpoint
+    graphs = tmp_path / "graphs"
+    assert run(["build-graphs", "--manifest", str(dataset), "--out", str(graphs),
+                "--split", "test", "--num-classes", "17"]) == 0
+    argv = ["explain", "--checkpoint", str(ckpt), "--graph", str(sorted(graphs.glob("*.json"))[5]),
+            "--iterations", "5", "--dot-out"]
+    made = tmp_path / "made" / "deep" / "expl.dot"
+    assert run([*argv, str(made)]) == 0
+    assert made.read_text().startswith("graph G {")
+    full_disk()
+    assert run([*argv, str(tmp_path / "failed" / "deep" / "expl.dot")]) == 2
+    assert not (tmp_path / "failed").exists()
+
+
+def test_run_undoes_the_outputs_of_any_failure_and_reraises(tmp_path, monkeypatch):
+    import surgraph.cli
+
+    made = tmp_path / "new" / "partial.txt"
+
+    def interrupted(args, outputs):
+        outputs.file(made).write_text("partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(surgraph.cli, "cmd_synth", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(["synth", "--out", str(tmp_path / "data")])
+    assert not (tmp_path / "new").exists()
 
 
 def test_explain_writes_parseable_dot(checkpoint, dataset, tmp_path, capsys):

@@ -466,7 +466,7 @@ def test_iter_windows_equal_list_windows_bitwise(
 def test_track_window_is_a_range_of_the_track():
     rows = [FRAME_07, FRAME_0, FRAME_07, FRAME_07]
     track = Track.of([_graph(r, f, CFG) for f, r in enumerate(rows)])
-    assert [n.t for n in track.nodes] == track.step.tolist() == [0, 0, 1, 2, 2, 3, 3]
+    assert track.step.tolist() == [0, 0, 1, 2, 2, 3, 3]
     assert track.node_start == [0, 2, 3, 5, 7]
     # spatial 0: (0,1); temporal 0-1: (0,2); spatial 1: none; temporal 1-2: (2,3);
     # spatial 2: (3,4); temporal 2-3: (3,5), (4,6); spatial 3: (5,6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from surgraph.errors import EmptyGraph, NotTrained
+from surgraph.errors import EmptyGraph, NonFiniteLoss, NotTrained
 from surgraph.explain import (
     ExplainConfig,
     Explanation,
@@ -465,3 +465,12 @@ class FakeGraphWithClasses(FakeGraph):
     def __init__(self, x, edges, class_ids):
         super().__init__(x, edges)
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
+
+
+def test_explain_stops_on_a_non_finite_loss():
+    model = init_model(GcnConfig(input_dim=3, hidden_dims=(4,), num_classes=2, seed=0))
+    x = np.eye(3)
+    x[1, 1] = np.nan
+    graph = FakeGraph(x, ((0, 1), (1, 2)))
+    with pytest.raises(NonFiniteLoss, match=r"^explainer loss nan at iteration 1$"):
+        explain_prediction(model, graph, ExplainConfig(iterations=5))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import damaged
+from conftest import damaged, distinct_pairs
 
 from surgraph.errors import (
     CorruptCheckpoint,
@@ -134,9 +134,14 @@ def test_normalize_triangle():
     )
 
 
-def test_normalize_dedupes_and_accepts_kinds():
-    g = FakeGraph(np.zeros((2, 2)), ((0, 1), (1, 0, "temporal"), (0, 1, "spatial")))
-    np.testing.assert_allclose(normalize_adjacency(g).to_dense(), np.full((2, 2), 0.5))
+def test_normalize_accepts_kinds_and_rejects_repeated_edges():
+    x = np.zeros((3, 2))
+    g = FakeGraph(x, ((1, 0, "temporal"), (1, 2, "spatial")))
+    plain = FakeGraph(x, ((0, 1), (1, 2)))
+    assert np.array_equal(normalize_adjacency(g).to_dense(), normalize_adjacency(plain).to_dense())
+    for edges in (((0, 1), (1, 0, "temporal")), ((0, 1), (0, 1, "spatial")), ((0, 1), (2, 2))):
+        with pytest.raises(DuplicateEntry):
+            normalize_adjacency(FakeGraph(x, edges))
 
 
 def test_normalize_empty_graph():
@@ -224,7 +229,10 @@ def _reference_apply(n, rows, cols, vals, x):
 
 
 def _messy_graph(rng, n, m, with_kinds):
-    """Random edges with self-loops, repeated and reversed edges, and isolated nodes."""
+    """Random edges with self-loops, repeated and reversed edges, and isolated nodes.
+
+    With ``m > 0`` it always holds a self-loop and a repeated pair.
+    """
     reach = max(1, n - 3)  # the last nodes of larger graphs get no edges
     ends = rng.integers(0, reach, size=(m, 2))
     edges = [(int(i), int(j)) for i, j in ends]
@@ -235,12 +243,28 @@ def _messy_graph(rng, n, m, with_kinds):
     return FakeGraph(rng.normal(size=(n, 4)), tuple(edges))
 
 
+def _distinct_graph(rng, messy, with_kinds):
+    """``messy`` with each undirected pair once, in a random orientation, and no self-loop."""
+    pairs = distinct_pairs(messy.edge_index)
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    edges = [tuple(pair) for pair in pairs.tolist()]
+    if with_kinds:
+        edges = [(i, j, ("spatial", "temporal")[int(rng.integers(2))]) for i, j in edges]
+    return FakeGraph(messy.x, tuple(edges))
+
+
 @pytest.mark.parametrize("with_kinds", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 17, 63, 64, 65, 130])
 def test_normalize_and_apply_match_reference_bitwise(n, with_kinds):
     rng = np.random.default_rng(1000 * n + with_kinds)
     for m in (0, 1, n, 4 * n):
-        g = _messy_graph(rng, n, m, with_kinds)
+        messy = _messy_graph(rng, n, m, with_kinds)
+        if m:
+            # edges are taken as given: a self-loop or a repeated pair is an error
+            with pytest.raises(DuplicateEntry):
+                normalize_adjacency(messy)
+        g = _distinct_graph(rng, messy, with_kinds)
         rows, cols, vals = _reference_normalize(g)
         anorm = normalize_adjacency(g)
         assert np.array_equal(anorm.rows, rows)
@@ -253,7 +277,10 @@ def test_normalize_and_apply_match_reference_bitwise(n, with_kinds):
 def test_apply_builds_no_operator(monkeypatch):
     rng = np.random.default_rng(11)
     n = 2 * DENSE_NODE_LIMIT
-    g = _messy_graph(rng, n, 3 * n, with_kinds=True)
+    messy = _messy_graph(rng, n, 3 * n, with_kinds=True)
+    with pytest.raises(DuplicateEntry):
+        normalize_adjacency(messy)
+    g = _distinct_graph(rng, messy, with_kinds=True)
     anorm = normalize_adjacency(g)
     x = rng.normal(size=(n, 6))
     expected = _reference_apply(n, anorm.rows, anorm.cols, anorm.values, x)
@@ -915,6 +942,14 @@ def test_header_reader_and_loader_reject_the_same_files(tmp_path, damage, error)
         checkpoint_header(path)
     with pytest.raises(error):
         load_checkpoint(path)
+
+
+def test_header_whose_extra_is_no_object_is_corrupt(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(SMALL_CFG), path, extra=[1])
+    for read in (checkpoint_header, load_checkpoint):
+        with pytest.raises(CorruptCheckpoint, match=r"'extra' is not an object"):
+            read(path)
 
 
 def test_label_outside_classes_is_rejected():

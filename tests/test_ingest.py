@@ -40,6 +40,7 @@ from surgraph.ingest import (
     label_map_from_entries,
     list_mask_files,
     load_embeddings,
+    load_label_map,
     load_manifest,
     load_mask,
     load_phase_labels,
@@ -145,6 +146,34 @@ def test_label_map_single_entry():
     assert label_map_from_entries([(0, "a")]).cardinality == 1
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"id": 0, "name": "a"}', "the top level is a dict, not an array"),
+        ('[{"id": 0, "name": "a"}, 1]', "entry 1 is not an object"),
+        ('[{"name": "a"}]', "entry 0 is not an object with an integer 'id'"),
+        ('[{"id": true, "name": "a"}]', "entry 0 is not an object with an integer 'id'"),
+        ('[{"id": 0, "name": "a"}, {"id": 1}]', "entry 1 is not an object with"),
+        ('[{"id": 0, "name": 5}]', "entry 0 is not an object with"),
+        ('[{"id": 0, "name": "a"}, {"id": 0, "name": "b"}]', "duplicate class ids"),
+        ('[{"id": 1, "name": "a"}]', "ids [1] are not 0..0"),
+        ('[{"id": 0, "name": "a"}', "not JSON"),
+    ],
+)
+def test_label_map_errors_name_the_file_and_entry(tmp_path, text, where):
+    p = tmp_path / "labels.json"
+    p.write_text(text)
+    with pytest.raises(SurgraphError) as info:
+        load_label_map(p)
+    assert str(info.value).startswith(f"{p}: ") and where in str(info.value)
+
+
+def test_label_map_file_round_trip(tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_text('[{"id": 1, "name": "Iris"}, {"id": 0, "name": "Pupil"}]')
+    assert load_label_map(p).names == ("Pupil", "Iris")
+
+
 def test_phase_csv_basic(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("frame,phase\n0,0\n1,3\n")
@@ -219,8 +248,32 @@ def test_embeddings_empty(tmp_path):
 def test_embeddings_mixed_dimensions(tmp_path):
     p = tmp_path / "e.json"
     p.write_text('{"0": {"seg_0": [1.0, 2.0], "seg_1": [1.0]}}')
-    with pytest.raises(MixedDimensions):
+    with pytest.raises(MixedDimensions) as info:
         load_embeddings(p)
+    assert str(info.value) == f"{p}: embedding of frame 0, segment seg_1 has length 1, expected 2"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[]", "the top level is a list, not an object"),
+        ('{"x": {}}', "frame key 'x' is not a frame number"),
+        ('{"-1": {}}', "frame key '-1' is not a frame number"),
+        ('{"3": {}, "03": {}}', "frame key '03' repeats frame 3"),
+        ('{"3": [1.0]}', "frame 3 is not an object of segment vectors"),
+        ('{"3": {"seg_0": 1.0}}', "frame 3, segment seg_0 is not a list of numbers"),
+        ('{"3": {"seg_0": ["1.0"]}}', "frame 3, segment seg_0 is not a list of numbers"),
+        ('{"3": {"seg_0": [true]}}', "frame 3, segment seg_0 is not a list of numbers"),
+        ('{"3": {"seg_0": [[1.0]]}}', "frame 3, segment seg_0 is not a list of numbers"),
+        ('{"3": {"seg_0": [null]}}', "frame 3, segment seg_0 is not a list of numbers"),
+    ],
+)
+def test_embedding_errors_name_the_file_and_frame(tmp_path, text, where):
+    p = tmp_path / "e.json"
+    p.write_text(text)
+    with pytest.raises(MalformedFile) as info:
+        load_embeddings(p)
+    assert str(info.value).startswith(f"{p}: ") and where in str(info.value)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -408,6 +461,16 @@ def test_list_mask_files_sorted(tmp_path):
     assert [f for f, _ in list_mask_files(tmp_path)] == [1, 2, 3]
 
 
+def test_list_mask_files_skips_stems_that_are_no_frame_number(tmp_path, caplog):
+    mask = SegmentationMask(1, 1, np.zeros((1, 1), dtype=np.uint8))
+    for stem in ("000002", "-000001", "notes"):
+        write_mask(mask, tmp_path / f"{stem}.sgm")
+    with caplog.at_level("WARNING", logger="surgraph.ingest"):
+        assert list_mask_files(tmp_path) == [(2, tmp_path / "000002.sgm")]
+    assert str(tmp_path / "-000001.sgm") in caplog.text
+    assert str(tmp_path / "notes.sgm") in caplog.text
+
+
 # --- damaged phase CSVs and manifests ---------------------------------------------
 
 PHASE_CSV = b"frame,phase\n0,0\n1,3\n4,3\n5,7\n9,12\n10,18\n"
@@ -496,3 +559,59 @@ def test_damaged_manifest_decodes_exactly_or_raises_naming_the_file(tmp_path, ca
         )
         for e in raw["videos"]
     ]
+
+
+# --- damaged label maps and embedding tables ------------------------------------------
+
+LABEL_MAP = json.dumps(
+    [{"id": i, "name": name} for i, name in enumerate(("Pupil", "Iris", "Cornea", "Tool"))]
+).encode()
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=damaged(LABEL_MAP, header=LABEL_MAP.index(b"}") + 1))
+def test_damaged_label_map_decodes_exactly_or_raises_naming_the_file(tmp_path, case):
+    _, blob = case
+    path = tmp_path / "labels.json"
+    path.write_bytes(blob)
+    try:
+        label_map = load_label_map(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a damaged file that still decodes gives exactly the names it holds, in id order
+    entries = json.loads(blob)
+    assert label_map.names == tuple(e["name"] for e in sorted(entries, key=lambda e: e["id"]))
+
+
+EMBEDDINGS = b'{"0": {"seg_0": [0.5, -1.0], "seg_3": [2.0, 0.25]}, "12": {"seg_1": [1e-3, 4]}}'
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=damaged(EMBEDDINGS, header=EMBEDDINGS.index(b"[")))
+def test_damaged_embeddings_decode_exactly_or_raise_naming_the_file(tmp_path, case):
+    _, blob = case
+    path = tmp_path / "e.json"
+    path.write_bytes(blob)
+    try:
+        table = load_embeddings(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a damaged file that still decodes gives exactly the vectors it holds
+    raw = json.loads(blob)
+    assert {f: {k: v.tolist() for k, v in t.items()} for f, t in table.frames.items()} == {
+        int(f): segments for f, segments in raw.items()
+    }
+    vectors = [v for segments in raw.values() for v in segments.values()]
+    assert table.dimension == (len(vectors[0]) if vectors else None)

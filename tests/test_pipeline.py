@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from surgraph.errors import (
     EmptyEvalSet,
     EmptyGraph,
     EmptyTrainSet,
+    NonFiniteLoss,
     OverlappingSplits,
     ShapeMismatch,
 )
-from surgraph.gcn import forward_prepared
+from surgraph.gcn import forward_prepared, normalize_adjacency
 from surgraph.ingest import (
     DatasetManifest,
     SegmentationMask,
@@ -28,6 +30,7 @@ from surgraph.numerics import SparseAdjacency
 from surgraph.pipeline import (
     ABLATION_CSV_HEADER,
     AblationRow,
+    GraphSample,
     TrainConfig,
     build_samples,
     evaluate,
@@ -214,6 +217,8 @@ def test_train_config_validation():
         TrainConfig(window=0)
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
+    with pytest.raises(ValueError, match="unknown label_policy 'middle'"):
+        TrainConfig(label_policy="middle")
 
 
 def test_train_config_json_round_trip():
@@ -427,3 +432,15 @@ def test_unlabelled_frame_is_skipped_and_counted(tmp_path, caplog):
         "skipped 1 frame(s) with no segment >= 10 px: v0/5; "
         "1 frame(s) with no phase label: v0/7"
     ]
+
+
+def test_fit_names_the_sample_whose_loss_is_not_finite():
+    ends = np.array([[0, 1], [1, 2]])
+    x = np.ones((3, 2))
+    adjacency = normalize_adjacency(SimpleNamespace(x=x, edge_index=ends))
+    bad = x.copy()
+    bad[1, 0] = np.nan
+    samples = [GraphSample("v1", 4, 0, x, adjacency), GraphSample("v2", 7, 1, bad, adjacency)]
+    cfg = TrainConfig(epochs=2, batch_size=1, hidden_dims=(4,), num_classes=2)
+    with pytest.raises(NonFiniteLoss, match=r"^epoch 0, video v2, frame 7: loss nan$"):
+        fit(cfg, samples, [])
