@@ -19,6 +19,7 @@ from .dynamic_graph import (
     context_seconds,
     dynamic_graph_from_json,
     dynamic_graph_to_json,
+    load_graph_json,
     select_window,
     temporal_encoding,
 )

@@ -23,8 +23,8 @@ from .dynamic_graph import (
     WindowConfig,
     WindowText,
     context_seconds,
-    dynamic_graph_from_json,
     dynamic_graph_to_json,
+    load_graph_json,
 )
 from .errors import CorruptCheckpoint, MalformedFile, SurgraphError
 from .explain import (
@@ -54,7 +54,7 @@ from .pipeline import (
     write_ablation_csv,
     write_history,
 )
-from .scene_graph import FeatureConfig, graph_from_json, graph_to_json
+from .scene_graph import FeatureConfig, graph_to_json
 from .synth import (
     SynthConfig,
     generate_dataset,
@@ -303,11 +303,7 @@ def cmd_explain(args, outputs: _Outputs) -> int:
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
     model = load_checkpoint(args.checkpoint)
-    data = read_json(args.graph)
-    if "window" in data:
-        graph = dynamic_graph_from_json(data)
-    else:
-        graph = graph_from_json(data)
+    graph = load_graph_json(args.graph)
     label_map = load_label_map(args.label_map) if args.label_map else default_label_map()
 
     explanation = explain_prediction(model, graph, explain_cfg)

@@ -18,19 +18,23 @@ all but one step. Only ``x`` is copied, to write its temporal block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyWindow, OutOfRange, ShapeMismatch
+from .errors import EmptyWindow, MalformedFile, OutOfRange, ShapeMismatch, SurgraphError
+from .ingest import read_json
 from .scene_graph import (
     TEMPORAL_DIM,
     FeatureConfig,
     GraphArrays,
     SceneGraph,
     edge_index_from_json,
+    graph_from_json,
     node_arrays_from_json,
 )
 
@@ -427,3 +431,100 @@ def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> Dyn
         t=np.array([n["t"] for n in data["nodes"]], dtype=np.int64),
         edge_kinds=np.array([EDGE_KINDS.index(e[2]) for e in edges], dtype=np.int8),
     )
+
+
+# --- reading graph files ----------------------------------------------------------
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_counts(value) -> bool:
+    return isinstance(value, list) and all(map(_is_count, value))
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(map(_is_finite, value))
+
+
+def _is_pair(value) -> bool:
+    return _is_vector(value) and len(value) == 2
+
+
+_INT, _LIST = (_is_count, "an integer of at least 0"), (lambda v: isinstance(v, list), "a list")
+_GRAPH_KEYS = {"frame": _INT, "d": _INT, "nodes": _LIST, "edges": _LIST}
+_WINDOW_KEYS = {
+    **_GRAPH_KEYS,
+    "window": _INT,
+    "dilation": _INT,
+    "label_frame": _INT,
+    "frames": (_is_counts, "a list of integers of at least 0"),
+}
+_NODE_KEYS = {
+    "class": _INT,
+    "centroid": (_is_pair, "two finite numbers"),
+    "size": (_is_finite, "a finite number"),
+    "features": (_is_vector, "a list of finite numbers"),
+}
+_WINDOW_NODE_KEYS = {**_NODE_KEYS, "t": _INT}
+
+
+def _shown(value) -> str:
+    """A JSON value as the file writes it, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _check_fields(path, where: str, obj, keys: dict) -> None:
+    """MalformedFile naming ``path``, ``where`` and the key for an absent or mistyped field."""
+    if not isinstance(obj, dict):
+        raise MalformedFile(f"{path}: {where} is a {type(obj).__name__}, not an object")
+    for key, (test, what) in keys.items():
+        if key not in obj:
+            raise MalformedFile(f"{path}: {where} has no {key!r}")
+        if not test(obj[key]):
+            raise MalformedFile(f"{path}: {where} has {key!r} {_shown(obj[key])}, not {what}")
+
+
+def _is_edge(edge, dynamic: bool) -> bool:
+    if not isinstance(edge, list) or len(edge) != 2 + dynamic:
+        return False
+    return _is_counts(edge[:2]) and (not dynamic or edge[2] in EDGE_KINDS)
+
+
+def load_graph_json(path: str | Path) -> SceneGraph | DynamicGraph:
+    """The static or dynamic graph in a graph JSON file; one with a ``"window"`` is dynamic.
+
+    Raises MalformedFile, naming ``path`` and the key, for a top level that
+    is not an object, a missing or mistyped key, a node whose ``features``
+    are not ``d`` numbers, and an edge that is not ``[i, j]`` (static) or
+    ``[i, j, kind]`` (dynamic). The decoder's own errors, such as an edge
+    given twice, are raised with ``path`` put before their message.
+    """
+    data = read_json(path)
+    dynamic = isinstance(data, dict) and "window" in data
+    _check_fields(path, "the top level", data, _WINDOW_KEYS if dynamic else _GRAPH_KEYS)
+    if dynamic and data["frame"] != data["label_frame"]:
+        raise MalformedFile(f"{path}: the top level has 'frame' {data['frame']} "
+                            f"but 'label_frame' {data['label_frame']}")
+    node_keys = _WINDOW_NODE_KEYS if dynamic else _NODE_KEYS
+    for index, node in enumerate(data["nodes"]):
+        _check_fields(path, f"node {index}", node, node_keys)
+        if len(node["features"]) != data["d"]:
+            raise MalformedFile(f"{path}: node {index} has {len(node['features'])} "
+                                f"'features', not 'd' = {data['d']}")
+    shape = f"[i, j, kind] with a kind in {EDGE_KINDS}" if dynamic else "[i, j]"
+    for index, edge in enumerate(data["edges"]):
+        if not _is_edge(edge, dynamic):
+            raise MalformedFile(f"{path}: edge {index} is {_shown(edge)}, not {shape}")
+    try:
+        return dynamic_graph_from_json(data) if dynamic else graph_from_json(data)
+    except SurgraphError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

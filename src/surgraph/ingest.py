@@ -234,7 +234,9 @@ def mask_to_bytes(mask: SegmentationMask) -> bytes:
 
 
 def write_mask(mask: SegmentationMask, path: str | Path) -> None:
-    Path(path).write_bytes(mask_to_bytes(mask))
+    """Write ``mask`` as SGM1 through ``atomic_write``: never a truncated file."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(mask_to_bytes(mask))
 
 
 @contextmanager

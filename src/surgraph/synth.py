@@ -6,7 +6,9 @@ the active phase's tool set. Because labels follow explicit presence/contact
 rules, an independent oracle can recompute them from the pixels — which is
 what the end-to-end tests lean on. Optional noise corrupts tool class ids
 and sprinkles speckle pixels. A config's JSON is its dataclass fields
-(``synth_config_from_json``).
+(``synth_config_from_json``). Every random draw happens in a fixed order,
+so a config fixes every byte written; ``test_generated_bytes_are_pinned``
+in ``tests/test_synth.py`` guards that output with a sha256.
 """
 
 from __future__ import annotations
@@ -96,16 +98,16 @@ def classes_touch(class_ids: np.ndarray, a: int, b: int) -> bool:
     bm = class_ids == b
     if not am.any() or not bm.any():
         return False
-    for axis in (0, 1):
-        left = np.take(am, range(0, am.shape[axis] - 1), axis=axis)
-        right = np.take(bm, range(1, bm.shape[axis]), axis=axis)
-        if (left & right).any():
-            return True
-        left = np.take(bm, range(0, bm.shape[axis] - 1), axis=axis)
-        right = np.take(am, range(1, am.shape[axis]), axis=axis)
-        if (left & right).any():
+    for x, y in ((am, bm), (bm, am)):
+        if (x[:-1] & y[1:]).any() or (x[:, :-1] & y[:, 1:]).any():
             return True
     return False
+
+
+def _present_tools(img: np.ndarray) -> tuple[int, ...]:
+    """The tool classes with at least ``_PRESENCE_MIN_PIXELS`` pixels, ascending."""
+    counts = np.bincount(img.ravel(), minlength=TOOL_CLASSES[-1] + 1)
+    return tuple(t for t in TOOL_CLASSES if counts[t] >= _PRESENCE_MIN_PIXELS)
 
 
 def _expand_script(script, n_frames) -> list[ScriptPhase]:
@@ -126,8 +128,7 @@ def _draw_anatomy(rng, width, height):
     pupil_r = 0.14 * base + rng.uniform(-1, 1)
     iris_r = 0.30 * base + rng.uniform(-1, 1)
     cornea_r = 0.45 * base + rng.uniform(-1, 1)
-    ys, xs = np.mgrid[0:height, 0:width]
-    dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+    dist = np.sqrt((np.arange(width) - cx) ** 2 + (np.arange(height) - cy)[:, None] ** 2)
     img = np.full((height, width), SKIN, dtype=np.uint8)
     img[dist <= cornea_r] = CORNEA
     img[dist <= iris_r] = IRIS
@@ -173,12 +174,11 @@ def _place_tools(img, geo, phase: ScriptPhase, rng) -> bool:
             radius = rng.uniform(lo, hi)
         cx = geo["cx"] + radius * np.cos(angle)
         cy = geo["cy"] + radius * np.sin(angle)
-        cx = float(np.clip(cx, half_w + 1, width - half_w - 1))
-        cy = float(np.clip(cy, half_h + 1, height - half_h - 1))
+        cx = float(min(max(cx, half_w + 1), width - half_w - 1))
+        cy = float(min(max(cy, half_h + 1), height - half_h - 1))
         _stamp_rect(img, cx, cy, half_w, half_h, tool)
 
-    present = {t for t in TOOL_CLASSES if int((img == t).sum()) >= _PRESENCE_MIN_PIXELS}
-    if present != set(phase.tools):
+    if set(_present_tools(img)) != set(phase.tools):
         return False
     for tool, anat in phase.touch:
         if not classes_touch(img, tool, anat):
@@ -269,9 +269,7 @@ def oracle_phase(mask: SegmentationMask, script_rules) -> int:
             rules.append(phase)
 
     img = mask.class_ids
-    present = tuple(
-        sorted(t for t in TOOL_CLASSES if int((img == t).sum()) >= _PRESENCE_MIN_PIXELS)
-    )
+    present = _present_tools(img)
     matched = []
     for phase in rules:
         if phase.tools != present:

@@ -348,7 +348,32 @@ def test_explain_rejects_repeated_edge(checkpoint, dataset, tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: adjacency entry") and "given twice" in err
+    assert err.startswith(f"error: {graph_file}: adjacency entry") and "given twice" in err
+    assert not dot_out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("5", "the top level is a int, not an object"),
+        ("[]", "the top level is a list, not an object"),
+        ('{"window": 3}', "the top level has no 'frame'"),
+        ('{"nodes": 1}', "the top level has no 'frame'"),
+    ],
+    ids=["number", "array", "window-only", "nodes-only"],
+)
+def test_explain_on_a_malformed_graph_file_names_it(checkpoint, tmp_path, capsys, text, detail):
+    ckpt, _ = checkpoint
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(text)
+    dot_out = tmp_path / "expl.dot"
+    capsys.readouterr()
+    code = run(["explain", "--checkpoint", str(ckpt), "--graph", str(graph_file),
+                "--dot-out", str(dot_out), "--iterations", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {graph_file}: {detail}\n"
+    assert "Traceback" not in err
     assert not dot_out.exists()
 
 

@@ -3,13 +3,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mask, stripe_mask
+from conftest import damaged, random_mask, stripe_mask
 from test_scene_graph import assert_plain_json
 
-from surgraph.errors import DuplicateEntry, EmptyMask, EmptyWindow, OutOfRange, ShapeMismatch
+from surgraph.errors import (
+    DuplicateEntry,
+    EmptyMask,
+    EmptyWindow,
+    MalformedFile,
+    OutOfRange,
+    ShapeMismatch,
+    SurgraphError,
+)
 from surgraph.dynamic_graph import (
     EDGE_SPATIAL,
     EDGE_TEMPORAL,
@@ -21,6 +29,7 @@ from surgraph.dynamic_graph import (
     context_seconds,
     dynamic_graph_from_json,
     dynamic_graph_to_json,
+    load_graph_json,
     select_window,
     temporal_encoding,
 )
@@ -33,6 +42,7 @@ from surgraph.scene_graph import (
     FeatureConfig,
     SceneGraph,
     build_static_graph,
+    graph_to_json,
 )
 
 
@@ -411,6 +421,95 @@ def test_json_rejects_bad_edges():
     outside = dict(data, edges=data["edges"] + [[0, len(data["nodes"]), "temporal"]])
     with pytest.raises(OutOfRange, match=f"graph of frame {data['label_frame']}"):
         dynamic_graph_from_json(outside, CFG)
+
+
+# --- reading graph files ----------------------------------------------------------------
+
+
+def _graph_files():
+    """The JSON of one static graph and of one window, as ``json.dumps`` prints them."""
+    static = graph_to_json(_graph([[0, 7, 7, 4]], 12, CFG))
+    window = dynamic_graph_to_json(_window([FRAME_07, FRAME_0, FRAME_07], start=3))
+    return {"static": static, "dynamic": window}
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic"])
+def test_load_graph_json_round_trips(tmp_path, kind):
+    data = _graph_files()[kind]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    graph = load_graph_json(path)
+    assert isinstance(graph, DynamicGraph) == (kind == "dynamic")
+    to_json = dynamic_graph_to_json if kind == "dynamic" else graph_to_json
+    assert json.dumps(to_json(graph)) == json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "kind, fields, detail",
+    [
+        ("static", {"d": "17"}, "the top level has 'd' \"17\", not an integer of at least 0"),
+        ("static", {"edges": None}, "the top level has 'edges' null, not a list"),
+        ("dynamic", {"frames": [1.5]}, "the top level has 'frames' [1.5], not a list of integers"),
+        ("dynamic", {"label_frame": 0}, "'frame' 5 but 'label_frame' 0"),
+        ("static", {"nodes": [3]}, "node 0 is a int, not an object"),
+        ("static", {"size": float("nan")}, "node 0 has 'size' NaN, not a finite"),
+        ("static", {"class": -1}, "node 0 has 'class' -1, not an integer"),
+        ("static", {"features": [True]}, "node 0 has 'features' [true], not a list"),
+        ("dynamic", {"t": None}, "node 0 has 't' null, not an integer"),
+        ("static", {"centroid": [1.0]}, "node 0 has 'centroid' [1.0], not two finite numbers"),
+        ("static", {"features": [0.5]}, "node 0 has 1 'features', not 'd' = "),
+        ("static", {"edges": [[0, 1, "spatial"]]}, "edge 0 is [0, 1, \"spatial\"], not [i, j]"),
+        ("dynamic", {"edges": [[0, 1]]}, "edge 0 is [0, 1], not [i, j, kind]"),
+        ("dynamic", {"edges": [[0, 1, "diagonal"]]}, "edge 0 is [0, 1, \"diagonal\"]"),
+    ],
+)
+def test_load_graph_json_names_the_file_and_the_key(tmp_path, kind, fields, detail):
+    """``fields`` replace the first node's keys, or else keys of the top level."""
+    data = _graph_files()[kind]
+    node = data["nodes"][0]
+    if set(fields) <= set(node):
+        data = dict(data, nodes=[{**node, **fields}, *data["nodes"][1:]])
+    else:
+        data = {**data, **fields}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedFile) as caught:
+        load_graph_json(path)
+    assert str(caught.value).startswith(f"{path}: ") and detail in str(caught.value)
+
+
+def test_load_graph_json_puts_the_file_before_decode_errors(tmp_path):
+    data = _graph_files()["dynamic"]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**data, "edges": data["edges"] + [data["edges"][0]]}))
+    with pytest.raises(DuplicateEntry, match=f"^{path}: adjacency entry .* given twice"):
+        load_graph_json(path)
+
+
+def _damaged_graph_files():
+    blobs = [json.dumps(g).encode() for g in _graph_files().values()]
+    return st.one_of(*(damaged(b, header=b.index(b'"nodes"')) for b in blobs))
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=st.deferred(_damaged_graph_files))
+def test_damaged_graph_json_decodes_exactly_or_raises_naming_the_file(tmp_path, case):
+    _, blob = case
+    path = tmp_path / "g.json"
+    path.write_bytes(blob)
+    try:
+        graph = load_graph_json(path)
+    except SurgraphError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    # a damaged file that still decodes gives exactly the values it holds
+    to_json = dynamic_graph_to_json if isinstance(graph, DynamicGraph) else graph_to_json
+    assert to_json(graph) == json.loads(blob)
 
 
 # --- windows cut from tracks against windows built from lists ---------------------------

@@ -125,6 +125,19 @@ def test_frame_index_from_stem(tmp_path):
     assert load_mask(tmp_path / "000042.sgm").frame_index == 42
 
 
+def test_failed_mask_write_keeps_the_earlier_mask(tmp_path, full_disk):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "000007.sgm"
+    write_mask(random_mask(rng, max_side=16, frame_index=7), path)
+    before = path.read_bytes()
+    full_disk()  # the next write fails after 20 bytes
+    bigger = SegmentationMask(32, 32, np.full((32, 32), 5, dtype=np.uint8), frame_index=7)
+    with pytest.raises(OSError):
+        write_mask(bigger, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
 def test_default_label_map_matches_task2():
     lm = default_label_map()
     assert lm.cardinality == 17

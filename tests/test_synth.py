@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from surgraph.errors import AmbiguousRules, ScriptTooLong
-from surgraph.ingest import load_manifest, load_mask, mask_to_bytes
+from surgraph.ingest import SegmentationMask, load_manifest, load_mask, mask_to_bytes
 from surgraph.synth import (
     CORNEA,
     IRIS,
@@ -14,6 +15,8 @@ from surgraph.synth import (
     TOOL_CLASSES,
     ScriptPhase,
     SynthConfig,
+    _draw_anatomy,
+    _place_tools,
     classes_touch,
     corrupt_tool_classes,
     generate_dataset,
@@ -237,3 +240,74 @@ def test_classes_touch_examples():
     diag = np.array([[1, 9], [9, 2]], dtype=np.uint8)
     assert not classes_touch(diag, 1, 2)
     assert not classes_touch(img, 1, 7)  # class 7 absent
+
+
+def _touch_by_pixel_pairs(img, a, b):
+    """Walk every 4-neighbour pixel pair, in both orders."""
+    h, w = img.shape
+    pairs = [((y, x), (y + dy, x + dx)) for y in range(h) for x in range(w)
+             for dy, dx in ((0, 1), (1, 0)) if y + dy < h and x + dx < w]
+    return any(
+        (img[p] == a and img[q] == b) or (img[p] == b and img[q] == a) for p, q in pairs
+    )
+
+
+def test_classes_touch_matches_a_walk_over_pixel_pairs():
+    rng = np.random.default_rng(4)
+    shapes = [(1, 1), (1, 7), (7, 1), (1, 2), (2, 1)] + [
+        tuple(rng.integers(1, 9, size=2)) for _ in range(40)
+    ]
+    checked = 0
+    for shape in shapes:
+        img = rng.integers(0, 4, size=shape).astype(np.uint8)  # class 4 is always absent
+        for a in range(5):
+            for b in range(5):  # a == b included
+                assert classes_touch(img, a, b) == _touch_by_pixel_pairs(img, a, b), (img, a, b)
+                checked += 1
+    assert checked == 25 * len(shapes)
+
+
+@pytest.mark.parametrize("pixels, present", [(9, False), (10, True)])
+def test_a_tool_counts_as_present_from_ten_pixels(pixels, present):
+    """One presence rule for the generator's check and for the oracle."""
+    rng = np.random.default_rng(0)
+    img, geo = _draw_anatomy(rng, 32, 32)
+    img.ravel()[:pixels] = 10  # the start of the top row, which is skin
+    bare = ScriptPhase(phase_id=1, duration=1)
+    # a phase without tools accepts the frame only if tool 10 is absent
+    assert _place_tools(img.copy(), geo, bare, rng) == (not present)
+    rule = (ScriptPhase(phase_id=3, duration=1, tools=(10,)),)
+    mask = SegmentationMask(width=32, height=32, class_ids=img)
+    assert oracle_phase(mask, rule) == (3 if present else 0)
+
+
+# sha256 of every file ``_pinned_dataset`` writes. It was taken with the generator
+# before its presence count, contact test and distance map were vectorised, so it
+# holds later versions to the same bytes.
+PINNED_SHA256 = "28b3dac1765fa28ed2d3f78b8c4794b902aeabf4adb3472026252a0cbef472c6"
+
+
+def _pinned_dataset(out):
+    configs = [
+        dataclasses.replace(
+            preset_distinct_tools(n_frames=24, phase_frames=6, seed=5, video_id="distinct",
+                                  tool_noise=0.3, width=17, height=23),
+            speckle_noise=0.5,
+        ),
+        preset_order_dependent(half_period=4, n_frames=24, seed=6, video_id="order",
+                               split="val", width=16, height=16),
+        preset_planted_contact(phase_frames=6, n_frames=24, seed=7, video_id="contact",
+                               split="test"),
+    ]
+    generate_dataset(out, configs)
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    _pinned_dataset(tmp_path)
+    digest = hashlib.sha256()
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) == 3 * 24 + 3 + 1  # masks, phase CSVs and the manifest
+    for name in files:
+        digest.update(name.encode() + b"\0")
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == PINNED_SHA256
