@@ -17,8 +17,9 @@ from .dynamic_graph import (
     WindowText,
     build_dynamic_graph,
     context_seconds,
-    dynamic_graph_from_json,
     dynamic_graph_to_json,
+    graph_from_json,
+    graph_to_json,
     load_graph_json,
     select_window,
     temporal_encoding,
@@ -77,8 +78,6 @@ from .scene_graph import (
     build_static_graph,
     compute_adjacency,
     extract_segments,
-    graph_from_json,
-    graph_to_json,
     spatial_encoding,
 )
 from .synth import (

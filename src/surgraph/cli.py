@@ -24,9 +24,10 @@ from .dynamic_graph import (
     WindowText,
     context_seconds,
     dynamic_graph_to_json,
+    graph_to_json,
     load_graph_json,
 )
-from .errors import CorruptCheckpoint, MalformedFile, SurgraphError
+from .errors import CorruptCheckpoint, DimensionMismatch, MalformedFile, SurgraphError
 from .explain import (
     ExplainConfig,
     explain_prediction,
@@ -54,7 +55,7 @@ from .pipeline import (
     write_ablation_csv,
     write_history,
 )
-from .scene_graph import FeatureConfig, graph_to_json
+from .scene_graph import FeatureConfig
 from .synth import (
     SynthConfig,
     generate_dataset,
@@ -147,33 +148,38 @@ def _parse_features(spec: str) -> dict:
     )
 
 
-def _feature_config(args) -> FeatureConfig:
-    flags = _parse_features(args.features or "class")
+# Feature flags besides --features, each named after the FeatureConfig field it sets.
+_FEATURE_FLAGS = ("num_classes", "segment_mode", "min_segment_pixels", "connectivity")
+
+
+def _feature_config(args, base: FeatureConfig | None = None) -> FeatureConfig:
+    """``base`` (``FeatureConfig()`` without one) with every feature flag the user set;
+    ``--features`` sets the blocks."""
+    overrides = {f: getattr(args, f) for f in _FEATURE_FLAGS if getattr(args, f) is not None}
+    if args.features is not None:
+        overrides.update(_parse_features(args.features))
     try:
-        return FeatureConfig(
-            num_classes=args.num_classes,
-            segment_mode=args.segment_mode,
-            min_segment_pixels=args.min_segment_pixels,
-            connectivity=args.connectivity,
-            **flags,
-        )
+        return replace(base or FeatureConfig(), **overrides)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
 
 
 def _add_feature_flags(parser):
+    # Each defaults to None, so that only the flags given override a base config.
     parser.add_argument(
         "--features",
         default=None,
         help="comma-separated blocks: class,spatial,size,temporal,embedding "
         "(default: class)",
     )
-    parser.add_argument("--num-classes", type=int, default=17,
-                        help="segmentation label-map cardinality")
-    parser.add_argument("--segment-mode", default="per-class-region",
-                        choices=["per-class-region", "per-component"])
-    parser.add_argument("--min-segment-pixels", type=int, default=10)
-    parser.add_argument("--connectivity", type=int, default=4, choices=[4, 8])
+    parser.add_argument("--num-classes", type=int, default=None,
+                        help="segmentation label-map cardinality (default 17)")
+    parser.add_argument("--segment-mode", default=None,
+                        choices=["per-class-region", "per-component"],
+                        help="default per-class-region")
+    parser.add_argument("--min-segment-pixels", type=int, default=None, help="default 10")
+    parser.add_argument("--connectivity", type=int, default=None, choices=[4, 8],
+                        help="default 4")
 
 
 # Training flags, and the TrainConfig field each one sets.
@@ -184,15 +190,14 @@ _TRAIN_FLAGS = {
 
 
 def _train_config(args, base: TrainConfig | None) -> TrainConfig:
-    """``base`` (a --config file's or a checkpoint's config), or without one
-    the feature flags, overridden by every training flag the user set."""
+    """``base`` (a --config file's or a checkpoint's config, ``TrainConfig()``
+    without one) with every training and feature flag the user set."""
     overrides = {
         field: getattr(args, flag)
         for flag, field in _TRAIN_FLAGS.items()
         if getattr(args, flag, None) is not None
     }
-    if base is None or args.features is not None:
-        overrides["feature_config"] = _feature_config(args)
+    overrides["feature_config"] = _feature_config(args, base and base.feature_config)
     try:
         return replace(TrainConfig() if base is None else base, **overrides)
     except ValueError as exc:
@@ -304,6 +309,11 @@ def cmd_explain(args, outputs: _Outputs) -> int:
         raise CliValidationError(str(exc)) from exc
     model = load_checkpoint(args.checkpoint)
     graph = load_graph_json(args.graph)
+    if graph.feature_dim != model.config.input_dim:
+        raise DimensionMismatch(
+            f"{args.graph}: graph features are {graph.feature_dim}-d, "
+            f"checkpoint {args.checkpoint} expects {model.config.input_dim}"
+        )
     label_map = load_label_map(args.label_map) if args.label_map else default_label_map()
 
     explanation = explain_prediction(model, graph, explain_cfg)
@@ -343,11 +353,14 @@ def cmd_synth(args, outputs: _Outputs) -> int:
     else:
         preset = _PRESETS[args.preset]
         splits = ["train"] * args.train + ["val"] * args.val + ["test"] * args.test
-        configs = [
-            preset(n_frames=args.n_frames, seed=(args.seed or 0) + index,
-                   video_id=f"{split}{index:02d}", split=split)
-            for index, split in enumerate(splits)
-        ]
+        try:
+            configs = [
+                preset(n_frames=args.n_frames, seed=(args.seed or 0) + index,
+                       video_id=f"{split}{index:02d}", split=split)
+                for index, split in enumerate(splits)
+            ]
+        except ValueError as exc:
+            raise CliValidationError(str(exc)) from exc
     if not configs:
         raise CliValidationError("synth config defines no videos")
 

@@ -13,6 +13,11 @@ track. ``pipeline.iter_windows`` builds one track per residue of the frames
 modulo the dilation, since a dilated window holds frames of one residue,
 and cuts every window of that residue out of it; neighbouring windows share
 all but one step. Only ``x`` is copied, to write its temporal block.
+
+This module also owns the graph file format: ``graph_to_json`` and
+``dynamic_graph_to_json`` encode static and dynamic graphs, ``WindowText``
+renders a window's node text, ``graph_from_json`` checks and decodes
+either kind in one pass, and ``load_graph_json`` reads a file.
 """
 
 from __future__ import annotations
@@ -26,17 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyWindow, MalformedFile, OutOfRange, ShapeMismatch, SurgraphError
-from .ingest import read_json
-from .scene_graph import (
-    TEMPORAL_DIM,
-    FeatureConfig,
-    GraphArrays,
-    SceneGraph,
-    edge_index_from_json,
-    graph_from_json,
-    node_arrays_from_json,
+from .errors import (
+    DuplicateEntry, EmptyWindow, MalformedFile, OutOfRange, ShapeMismatch, SurgraphError,
 )
+from .ingest import read_json
+from .scene_graph import TEMPORAL_DIM, FeatureConfig, GraphArrays, SceneGraph
 
 EDGE_SPATIAL = "spatial"
 EDGE_TEMPORAL = "temporal"
@@ -295,6 +294,25 @@ def build_dynamic_graph(
 
 
 # --- JSON export ----------------------------------------------------------------
+# Every number written is a Python scalar (``tolist``), so ``json.dumps`` prints
+# the same text it printed for the per-node records these arrays replaced.
+
+def graph_to_json(graph: SceneGraph) -> dict:
+    return {
+        "frame": graph.frame_index,
+        "d": graph.feature_dim,
+        "nodes": [
+            {"class": c, "centroid": centroid, "size": s, "features": f}
+            for c, centroid, s, f in zip(
+                graph.class_ids.tolist(),
+                graph.centroids.tolist(),
+                graph.sizes.tolist(),
+                graph.x.tolist(),
+            )
+        ],
+        "edges": graph.edge_index.tolist(),
+    }
+
 
 def dynamic_graph_to_json(graph: DynamicGraph, nodes: bool = True) -> dict:
     """The graph as a dict of plain Python values, for ``json.dumps``.
@@ -413,37 +431,22 @@ def _node_pieces(c, centroid, size, before, after, temporal: bool) -> tuple[str,
     return head, middle, tail
 
 
-def dynamic_graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> DynamicGraph:
-    if cfg is None:
-        cfg = FeatureConfig(num_classes=data["d"], use_class=True)
-    edges = data["edges"]
-    unknown = {e[2] for e in edges} - set(EDGE_KINDS)
-    if unknown:
-        raise ValueError(f"unknown edge kinds {sorted(unknown)}")
-    return DynamicGraph(
-        **node_arrays_from_json(data),
-        edge_index=edge_index_from_json(edges, len(data["nodes"]), data["label_frame"]),
-        config=cfg,
-        window=data["window"],
-        dilation=data["dilation"],
-        label_frame_index=data["label_frame"],
-        frame_indices=tuple(data.get("frames", [])),
-        t=np.array([n["t"] for n in data["nodes"]], dtype=np.int64),
-        edge_kinds=np.array([EDGE_KINDS.index(e[2]) for e in edges], dtype=np.int8),
-    )
-
-
 # --- reading graph files ----------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An int that fits int64, so numpy takes it; a bool is none."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _is_finite(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    return _is_int(value)
 
 
 def _is_counts(value) -> bool:
@@ -482,49 +485,104 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _check_fields(path, where: str, obj, keys: dict) -> None:
-    """MalformedFile naming ``path``, ``where`` and the key for an absent or mistyped field."""
+def _check_fields(where: str, obj, keys: dict) -> None:
+    """MalformedFile naming ``where`` and the key for an absent or mistyped field."""
     if not isinstance(obj, dict):
-        raise MalformedFile(f"{path}: {where} is a {type(obj).__name__}, not an object")
+        raise MalformedFile(f"{where} is a {type(obj).__name__}, not an object")
     for key, (test, what) in keys.items():
         if key not in obj:
-            raise MalformedFile(f"{path}: {where} has no {key!r}")
+            raise MalformedFile(f"{where} has no {key!r}")
         if not test(obj[key]):
-            raise MalformedFile(f"{path}: {where} has {key!r} {_shown(obj[key])}, not {what}")
+            raise MalformedFile(f"{where} has {key!r} {_shown(obj[key])}, not {what}")
 
 
 def _is_edge(edge, dynamic: bool) -> bool:
     if not isinstance(edge, list) or len(edge) != 2 + dynamic:
         return False
-    return _is_counts(edge[:2]) and (not dynamic or edge[2] in EDGE_KINDS)
+    return _is_int(edge[0]) and _is_int(edge[1]) and (not dynamic or edge[2] in EDGE_KINDS)
+
+
+def graph_from_json(data) -> SceneGraph | DynamicGraph:
+    """The static or dynamic graph in decoded graph JSON; one with a ``"window"`` is dynamic.
+
+    Raises MalformedFile, naming the key, for a top level that is not an
+    object, a missing or mistyped key, a ``d`` of 0, a window whose
+    ``frames`` are not ``window`` long or whose ``frame`` is not its
+    ``label_frame``, a node whose ``features`` are not ``d`` numbers or
+    whose ``t`` is not below ``window``, and an edge that is not ``[i, j]``
+    (static) or ``[i, j, kind]`` (dynamic). Raises OutOfRange for an edge
+    end outside the graph's nodes and DuplicateEntry for a self-loop or a
+    pair given twice in either order; both name the graph's frame, and the
+    first bad edge in file order is the one named. Component indices are
+    not exported, so they read back as 0, and the config is a class block
+    of width ``d``.
+    """
+    dynamic = isinstance(data, dict) and "window" in data
+    _check_fields("the top level", data, _WINDOW_KEYS if dynamic else _GRAPH_KEYS)
+    frame, d, nodes, edges = data["frame"], data["d"], data["nodes"], data["edges"]
+    if d == 0:
+        raise MalformedFile("the top level has 'd' 0, not a feature width of at least 1")
+    if dynamic:
+        window = data["window"]
+        if frame != data["label_frame"]:
+            raise MalformedFile(f"the top level has 'frame' {frame} "
+                                f"but 'label_frame' {data['label_frame']}")
+        if len(data["frames"]) != window:
+            raise MalformedFile(f"the top level has {len(data['frames'])} 'frames', "
+                                f"not 'window' = {window}")
+    node_keys = _WINDOW_NODE_KEYS if dynamic else _NODE_KEYS
+    for index, node in enumerate(nodes):
+        _check_fields(f"node {index}", node, node_keys)
+        if len(node["features"]) != d:
+            raise MalformedFile(f"node {index} has {len(node['features'])} "
+                                f"'features', not 'd' = {d}")
+        if dynamic and node["t"] >= window:
+            raise MalformedFile(f"node {index} has 't' {node['t']}, not below 'window' = {window}")
+    shape = f"[i, j, kind] with a kind in {EDGE_KINDS}" if dynamic else "[i, j]"
+    where = f"in the graph of frame {frame}"
+    pairs = set()
+    for index, edge in enumerate(edges):
+        if not _is_edge(edge, dynamic):
+            raise MalformedFile(f"edge {index} is {_shown(edge)}, not {shape}")
+        i, j = edge[:2]
+        if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
+            raise OutOfRange(f"edge ({i}, {j}) {where} ends outside its {len(nodes)} nodes")
+        if i == j:
+            raise DuplicateEntry(f"self-loop ({i}, {i}) {where}")
+        if (min(i, j), max(i, j)) in pairs:
+            raise DuplicateEntry(f"adjacency entry ({i}, {j}) given twice {where}")
+        pairs.add((min(i, j), max(i, j)))
+
+    arrays = dict(
+        x=np.array([n["features"] for n in nodes], dtype=np.float64).reshape(len(nodes), d),
+        class_ids=np.array([n["class"] for n in nodes], dtype=np.int64),
+        centroids=np.array([n["centroid"] for n in nodes], dtype=np.float64).reshape(-1, 2),
+        sizes=np.array([n["size"] for n in nodes], dtype=np.float64),
+        component_index=np.zeros(len(nodes), dtype=np.int64),
+        edge_index=np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2),
+        config=FeatureConfig(num_classes=d),
+    )
+    if not dynamic:
+        return SceneGraph(**arrays, frame_index=frame)
+    return DynamicGraph(
+        **arrays,
+        window=window,
+        dilation=data["dilation"],
+        label_frame_index=frame,
+        frame_indices=tuple(data["frames"]),
+        t=np.array([n["t"] for n in nodes], dtype=np.int64),
+        edge_kinds=np.array([EDGE_KINDS.index(e[2]) for e in edges], dtype=np.int8),
+    )
 
 
 def load_graph_json(path: str | Path) -> SceneGraph | DynamicGraph:
-    """The static or dynamic graph in a graph JSON file; one with a ``"window"`` is dynamic.
+    """``graph_from_json`` of the JSON in the file at ``path``.
 
-    Raises MalformedFile, naming ``path`` and the key, for a top level that
-    is not an object, a missing or mistyped key, a node whose ``features``
-    are not ``d`` numbers, and an edge that is not ``[i, j]`` (static) or
-    ``[i, j, kind]`` (dynamic). The decoder's own errors, such as an edge
-    given twice, are raised with ``path`` put before their message.
+    Every SurgraphError names ``path``: the decoder's are raised again with
+    ``path`` put before their message.
     """
     data = read_json(path)
-    dynamic = isinstance(data, dict) and "window" in data
-    _check_fields(path, "the top level", data, _WINDOW_KEYS if dynamic else _GRAPH_KEYS)
-    if dynamic and data["frame"] != data["label_frame"]:
-        raise MalformedFile(f"{path}: the top level has 'frame' {data['frame']} "
-                            f"but 'label_frame' {data['label_frame']}")
-    node_keys = _WINDOW_NODE_KEYS if dynamic else _NODE_KEYS
-    for index, node in enumerate(data["nodes"]):
-        _check_fields(path, f"node {index}", node, node_keys)
-        if len(node["features"]) != data["d"]:
-            raise MalformedFile(f"{path}: node {index} has {len(node['features'])} "
-                                f"'features', not 'd' = {data['d']}")
-    shape = f"[i, j, kind] with a kind in {EDGE_KINDS}" if dynamic else "[i, j]"
-    for index, edge in enumerate(data["edges"]):
-        if not _is_edge(edge, dynamic):
-            raise MalformedFile(f"{path}: edge {index} is {_shown(edge)}, not {shape}")
     try:
-        return dynamic_graph_from_json(data) if dynamic else graph_from_json(data)
+        return graph_from_json(data)
     except SurgraphError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

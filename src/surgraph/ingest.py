@@ -345,11 +345,14 @@ def load_phase_labels(path: str | Path, video_id: str | None = None) -> PhaseTra
 
 
 def write_phase_labels(track: PhaseTrack, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "phase"])
-        for frame, phase in zip(track.frames, track.phases):
-            writer.writerow([int(frame), int(phase)])
+    """The track as a phase CSV; a failed write leaves an earlier file at ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["frame", "phase"])
+    for frame, phase in zip(track.frames, track.phases):
+        writer.writerow([int(frame), int(phase)])
+    with atomic_write(path, "wb") as fh:
+        fh.write(text.getvalue().encode("utf-8"))
 
 
 # --- embeddings -----------------------------------------------------------------

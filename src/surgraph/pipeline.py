@@ -447,9 +447,8 @@ def run_ablation(grid: list[TrainConfig], manifest: DatasetManifest) -> list[Abl
             continue
         seen.add(key)
         try:
-            train_videos, val_videos, test_videos = split_dataset(manifest)
-            model, _ = fit(cfg, build_samples(train_videos, cfg), build_samples(val_videos, cfg))
-            test_samples = build_samples(test_videos, cfg)
+            model, _ = train(cfg, manifest)
+            test_samples = build_samples(split_dataset(manifest)[2], cfg)
             rows.append(AblationRow(cfg, evaluate(model, test_samples)))
         except Exception as exc:  # recorded, not fatal: one bad cell shouldn't kill the grid
             log.warning("ablation cell failed: %s", exc)

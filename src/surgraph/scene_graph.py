@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .errors import DuplicateEntry, EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
+from .errors import EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
 from .ingest import EmbeddingTable, SegmentationMask
 from .numerics import unique_sorted
 
@@ -354,82 +354,6 @@ def build_static_graph(
         config=cfg,
         frame_index=mask.frame_index,
     )
-
-
-# --- JSON export ----------------------------------------------------------------
-# Every number written is a Python scalar (``tolist``), so ``json.dumps`` prints
-# the same text it printed for the per-node records these arrays replaced.
-
-def graph_to_json(graph: SceneGraph) -> dict:
-    return {
-        "frame": graph.frame_index,
-        "d": graph.feature_dim,
-        "nodes": [
-            {"class": c, "centroid": centroid, "size": s, "features": f}
-            for c, centroid, s, f in zip(
-                graph.class_ids.tolist(),
-                graph.centroids.tolist(),
-                graph.sizes.tolist(),
-                graph.x.tolist(),
-            )
-        ],
-        "edges": graph.edge_index.tolist(),
-    }
-
-
-def graph_from_json(data: dict, cfg: FeatureConfig | None = None) -> SceneGraph:
-    if cfg is None:
-        cfg = FeatureConfig(num_classes=data["d"], use_class=True)
-    return SceneGraph(
-        **node_arrays_from_json(data),
-        edge_index=edge_index_from_json(data["edges"], len(data["nodes"]), data["frame"]),
-        config=cfg,
-        frame_index=data["frame"],
-    )
-
-
-def node_arrays_from_json(data: dict) -> dict[str, np.ndarray]:
-    """GraphArrays node fields from a graph JSON's ``nodes`` list.
-
-    Component indices are not exported, so they read back as 0.
-    """
-    nodes = data["nodes"]
-    x = np.array([n["features"] for n in nodes], dtype=np.float64)
-    return {
-        "x": x if nodes else x.reshape(0, data["d"]),
-        "class_ids": np.array([n["class"] for n in nodes], dtype=np.int64),
-        "centroids": np.array(
-            [n["centroid"][:2] for n in nodes], dtype=np.float64
-        ).reshape(len(nodes), 2),
-        "sizes": np.array([n["size"] for n in nodes], dtype=np.float64),
-        "component_index": np.zeros(len(nodes), dtype=np.int64),
-    }
-
-
-def edge_index_from_json(edges: list, node_count: int, frame: int) -> np.ndarray:
-    """E x 2 int64 array of the (i, j) ends of JSON edges, checked.
-
-    Raises OutOfRange for an end outside the graph's ``node_count`` nodes
-    and DuplicateEntry for a self-loop or a pair given twice in either
-    order; both name the graph's ``frame``.
-    """
-    ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(len(edges), 2)
-    where = f"in the graph of frame {frame}"
-    outside = ((ends < 0) | (ends >= node_count)).any(axis=1)
-    if outside.any():
-        i, j = ends[np.argmax(outside)]
-        raise OutOfRange(f"edge ({i}, {j}) {where} ends outside its {node_count} nodes")
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    if (lo == hi).any():
-        i = lo[np.argmax(lo == hi)]
-        raise DuplicateEntry(f"self-loop ({i}, {i}) {where}")
-    codes = lo * node_count + hi
-    order = np.argsort(codes, kind="stable")
-    repeated = np.diff(codes[order]) == 0
-    if repeated.any():
-        i, j = ends[order[np.argmax(repeated) + 1]]
-        raise DuplicateEntry(f"adjacency entry ({i}, {j}) given twice {where}")
-    return ends
 
 
 # --- internals --------------------------------------------------------------------

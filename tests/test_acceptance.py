@@ -18,8 +18,14 @@ import numpy as np
 from conftest import random_mask, stripe_mask
 from test_gcn import FakeGraph
 
-from surgraph.dynamic_graph import WindowConfig, build_dynamic_graph, context_seconds
-from surgraph.dynamic_graph import dynamic_graph_from_json, dynamic_graph_to_json
+from surgraph.dynamic_graph import (
+    WindowConfig,
+    build_dynamic_graph,
+    context_seconds,
+    dynamic_graph_to_json,
+    graph_from_json,
+    graph_to_json,
+)
 from surgraph.explain import ExplainConfig, explain_prediction
 from surgraph.gcn import (
     GcnConfig,
@@ -38,8 +44,6 @@ from surgraph.scene_graph import (
     build_static_graph,
     compute_adjacency,
     extract_segments,
-    graph_from_json,
-    graph_to_json,
 )
 from surgraph.synth import (
     PUPIL,
@@ -566,7 +570,7 @@ def test_determinism_and_round_trips(report, tmp_path):
     ]
     static_round = graph_from_json(json.loads(json.dumps(graph_to_json(graphs[0]))))
     dyn = build_dynamic_graph(graphs, WindowConfig(window=3, dilation=1))
-    dyn_round = dynamic_graph_from_json(json.loads(json.dumps(dynamic_graph_to_json(dyn))))
+    dyn_round = graph_from_json(json.loads(json.dumps(dynamic_graph_to_json(dyn))))
     json_exact = (
         np.array_equal(static_round.feature_matrix(), graphs[0].feature_matrix())
         and static_round.edges == graphs[0].edges

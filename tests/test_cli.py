@@ -359,8 +359,10 @@ def test_explain_rejects_repeated_edge(checkpoint, dataset, tmp_path, capsys):
         ("[]", "the top level is a list, not an object"),
         ('{"window": 3}', "the top level has no 'frame'"),
         ('{"nodes": 1}', "the top level has no 'frame'"),
+        ('{"frame": 0, "d": 0, "nodes": [], "edges": []}',
+         "the top level has 'd' 0, not a feature width of at least 1"),
     ],
-    ids=["number", "array", "window-only", "nodes-only"],
+    ids=["number", "array", "window-only", "nodes-only", "no-features"],
 )
 def test_explain_on_a_malformed_graph_file_names_it(checkpoint, tmp_path, capsys, text, detail):
     ckpt, _ = checkpoint
@@ -375,6 +377,68 @@ def test_explain_on_a_malformed_graph_file_names_it(checkpoint, tmp_path, capsys
     assert err == f"error: {graph_file}: {detail}\n"
     assert "Traceback" not in err
     assert not dot_out.exists()
+
+
+def test_explain_names_the_graph_and_checkpoint_of_a_width_mismatch(checkpoint, tmp_path, capsys):
+    ckpt, _ = checkpoint
+    graph_file = tmp_path / "graph.json"
+    node = {"class": 0, "centroid": [0.5, 0.5], "size": 0.1, "features": [1.0]}
+    graph_file.write_text(json.dumps({"frame": 0, "d": 1, "nodes": [node], "edges": []}))
+    dot_out = tmp_path / "expl.dot"
+    capsys.readouterr()
+    code = run(["explain", "--checkpoint", str(ckpt), "--graph", str(graph_file),
+                "--dot-out", str(dot_out), "--iterations", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {graph_file}: graph features are 1-d, checkpoint {ckpt} expects 17\n"
+    assert not dot_out.exists()
+
+
+def test_train_feature_flags_override_only_their_fields_of_the_config(dataset, tmp_path):
+    from surgraph.gcn import checkpoint_header
+
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "window": 3, "dilation": 1, "epochs": 1,
+        "feature_config": {"num_classes": 17, "use_size": True, "min_segment_pixels": 5},
+    }))
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--manifest", str(dataset), "--config", str(config),
+                "--out-checkpoint", str(ckpt), "--connectivity", "8"]) == 0
+    stored = TrainConfig.from_json(checkpoint_header(ckpt)["extra"]["train_config"])
+    assert stored.feature_config == FeatureConfig(
+        num_classes=17, use_size=True, min_segment_pixels=5, connectivity=8
+    )
+
+
+def test_eval_feature_flags_override_only_their_fields_of_the_checkpoint(
+    checkpoint, dataset, monkeypatch, capsys
+):
+    import surgraph.cli
+
+    ckpt, _ = checkpoint
+    used = []
+    build = surgraph.cli.build_samples
+    monkeypatch.setattr(
+        surgraph.cli, "build_samples", lambda videos, cfg: used.append(cfg) or build(videos, cfg)
+    )
+    assert run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                "--min-segment-pixels", "3", "--segment-mode", "per-component"]) == 0
+    assert used[0].feature_config == FeatureConfig(
+        num_classes=17, min_segment_pixels=3, segment_mode="per-component"
+    )
+    assert (used[0].window, used[0].dilation) == (3, 1)
+    # a threshold no segment reaches leaves nothing to evaluate, where it was once ignored
+    assert run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset),
+                "--min-segment-pixels", "100000"]) == 2
+    assert used[1].feature_config == FeatureConfig(min_segment_pixels=100000)
+
+
+def test_synth_with_no_frames_exits_1(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run(["synth", "--out", str(out), "--n-frames", "0"]) == 1
+    assert capsys.readouterr().err == "error: n_frames must be >= 1\n"
+    assert not out.exists()
 
 
 def test_ablate_writes_csv(dataset, tmp_path):
@@ -634,7 +698,7 @@ def test_build_graphs_windows_match_build_samples(tmp_path, monkeypatch, caplog)
     # build-graphs and build_samples share one frame loader and one window
     # iterator: same windows, same skips, one window built per written file
     from surgraph import pipeline
-    from surgraph.dynamic_graph import dynamic_graph_from_json
+    from surgraph.dynamic_graph import graph_from_json
     from surgraph.gcn import normalize_adjacency
     from surgraph.ingest import SegmentationMask, write_mask
     from surgraph.synth import generate_dataset, preset_distinct_tools
@@ -672,7 +736,7 @@ def test_build_graphs_windows_match_build_samples(tmp_path, monkeypatch, caplog)
     for path in files:
         data = json.loads(path.read_text())
         sample = samples[("v0", data["frame"])]
-        graph = dynamic_graph_from_json(data, train_cfg.feature_config)
+        graph = graph_from_json(data)
         assert graph.x.tobytes() == sample.x.tobytes()
         adjacency = normalize_adjacency(graph)
         for ours, theirs in zip(

@@ -27,8 +27,9 @@ from surgraph.dynamic_graph import (
     WindowText,
     build_dynamic_graph,
     context_seconds,
-    dynamic_graph_from_json,
     dynamic_graph_to_json,
+    graph_from_json,
+    graph_to_json,
     load_graph_json,
     select_window,
     temporal_encoding,
@@ -42,7 +43,6 @@ from surgraph.scene_graph import (
     FeatureConfig,
     SceneGraph,
     build_static_graph,
-    graph_to_json,
 )
 
 
@@ -208,7 +208,7 @@ def test_json_round_trip():
     assert data["window"] == 3
     assert data["dilation"] == 1
     assert data["label_frame"] == dyn.label_frame_index
-    again = dynamic_graph_from_json(data, CFG)
+    again = graph_from_json(data)
     assert isinstance(again, DynamicGraph)
     np.testing.assert_array_equal(dyn.feature_matrix(), again.feature_matrix())
     assert dyn.edges == again.edges
@@ -399,7 +399,7 @@ def test_window_json_bytes_match_reference(case):
     }
     assert json.dumps(data) == json.dumps(reference_window_json(fields, nodes, edges))
 
-    again = dynamic_graph_from_json(json.loads(json.dumps(data)), cfg)
+    again = graph_from_json(json.loads(json.dumps(data)))
     for name in ("x", "class_ids", "centroids", "sizes", "t", "edge_index", "edge_kinds"):
         assert np.array_equal(getattr(dyn, name), getattr(again, name)), name
     assert json.dumps(dynamic_graph_to_json(again)) == json.dumps(data)
@@ -408,8 +408,8 @@ def test_window_json_bytes_match_reference(case):
 def test_json_rejects_unknown_edge_kind():
     data = dynamic_graph_to_json(_window([FRAME_07, FRAME_07]))
     data["edges"][0][2] = "diagonal"
-    with pytest.raises(ValueError):
-        dynamic_graph_from_json(data, CFG)
+    with pytest.raises(MalformedFile):
+        graph_from_json(data)
 
 
 def test_json_rejects_bad_edges():
@@ -417,10 +417,10 @@ def test_json_rejects_bad_edges():
     i, j, kind = data["edges"][0]
     reversed_pair = dict(data, edges=data["edges"] + [[j, i, kind]])
     with pytest.raises(DuplicateEntry, match=f"graph of frame {data['label_frame']}"):
-        dynamic_graph_from_json(reversed_pair, CFG)
+        graph_from_json(reversed_pair)
     outside = dict(data, edges=data["edges"] + [[0, len(data["nodes"]), "temporal"]])
     with pytest.raises(OutOfRange, match=f"graph of frame {data['label_frame']}"):
-        dynamic_graph_from_json(outside, CFG)
+        graph_from_json(outside)
 
 
 # --- reading graph files ----------------------------------------------------------------
@@ -461,6 +461,13 @@ def test_load_graph_json_round_trips(tmp_path, kind):
         ("static", {"edges": [[0, 1, "spatial"]]}, "edge 0 is [0, 1, \"spatial\"], not [i, j]"),
         ("dynamic", {"edges": [[0, 1]]}, "edge 0 is [0, 1], not [i, j, kind]"),
         ("dynamic", {"edges": [[0, 1, "diagonal"]]}, "edge 0 is [0, 1, \"diagonal\"]"),
+        ("static", {"d": 0}, "the top level has 'd' 0, not a feature width of at least 1"),
+        ("dynamic", {"d": 0}, "the top level has 'd' 0, not a feature width of at least 1"),
+        ("dynamic", {"t": 3}, "node 0 has 't' 3, not below 'window' = 3"),
+        ("dynamic", {"frames": [3, 4]}, "the top level has 2 'frames', not 'window' = 3"),
+        ("dynamic", {"window": 4}, "the top level has 3 'frames', not 'window' = 4"),
+        ("static", {"class": 2**63}, "node 0 has 'class' 9223372036854775808, not an integer"),
+        ("static", {"size": 2**1024}, "node 0 has 'size' 1797693134862315907729305190789024733..."),
     ],
 )
 def test_load_graph_json_names_the_file_and_the_key(tmp_path, kind, fields, detail):

@@ -34,6 +34,7 @@ from surgraph.errors import (
 from surgraph.ingest import (
     DEFAULT_PHASE_NAMES,
     DatasetManifest,
+    PhaseTrack,
     SegmentationMask,
     VideoEntry,
     default_label_map,
@@ -134,6 +135,18 @@ def test_failed_mask_write_keeps_the_earlier_mask(tmp_path, full_disk):
     bigger = SegmentationMask(32, 32, np.full((32, 32), 5, dtype=np.uint8), frame_index=7)
     with pytest.raises(OSError):
         write_mask(bigger, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_failed_phase_label_write_keeps_the_earlier_file(tmp_path, full_disk):
+    path = tmp_path / "phases.csv"
+    write_phase_labels(PhaseTrack("v", np.array([0]), np.array([1])), path)
+    before = path.read_bytes()
+    full_disk()  # the next write fails after 20 bytes
+    longer = PhaseTrack("v", np.arange(10), np.full(10, 3))
+    with pytest.raises(OSError):
+        write_phase_labels(longer, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 

@@ -19,12 +19,11 @@ from surgraph.scene_graph import (
     build_static_graph,
     compute_adjacency,
     extract_segments,
-    graph_from_json,
-    graph_to_json,
     spatial_encoding,
     spatial_encodings,
 )
 from surgraph.scene_graph import _edges_from_index_image, _shifted_views
+from surgraph.dynamic_graph import graph_from_json, graph_to_json
 from surgraph.numerics import unique_sorted
 
 from conftest import random_mask
@@ -323,7 +322,7 @@ def test_json_round_trip():
     data = graph_to_json(graph)
     assert data["frame"] == 12
     assert data["d"] == cfg.feature_dim
-    again = graph_from_json(data, cfg)
+    again = graph_from_json(data)
     np.testing.assert_array_equal(graph.feature_matrix(), again.feature_matrix())
     assert graph.edges == again.edges
     assert [n.class_id for n in again.nodes] == [0, 4, 7]
@@ -345,7 +344,7 @@ def test_json_rejects_bad_edges(extra, error, message):
     data = graph_to_json(build_static_graph(_mask(SMALL, frame_index=12), cfg=cfg))
     data["edges"].append(extra(*data["edges"][0]))
     with pytest.raises(error) as caught:
-        graph_from_json(data, cfg)
+        graph_from_json(data)
     assert message in str(caught.value)
 
 
@@ -473,7 +472,7 @@ def test_graph_json_round_trip_arrays():
                         segment_mode=SEGMENT_MODE_COMPONENT)
     mask = random_mask(rng, max_side=12, max_classes=6, frame_index=3)
     graph = build_static_graph(mask, cfg=cfg)
-    again = graph_from_json(json.loads(json.dumps(graph_to_json(graph))), cfg)
+    again = graph_from_json(json.loads(json.dumps(graph_to_json(graph))))
     for name in ("x", "class_ids", "centroids", "sizes", "edge_index"):
         assert np.array_equal(getattr(graph, name), getattr(again, name)), name
     assert again.frame_index == 3
