@@ -1,11 +1,12 @@
 """Command-line entry point: graphs, training, evaluation, explanations, data.
 
-Exit codes: 0 success, 1 flag/config validation error, 2 runtime error, such
-as a checkpoint whose stored training config is malformed (CorruptCheckpoint)
-or a label map or embedding table that breaks its format (MalformedFile,
-naming the file). Flags are validated before anything is written. ``run``
-hands each command one ``_Outputs`` record and, if the command fails,
-removes what was registered there.
+Exit codes: 0 success; 1 for ``InvalidConfig``, a bad flag or config value;
+2 for any other ``SurgraphError`` or an ``OSError``, such as a checkpoint
+whose stored training config is malformed (CorruptCheckpoint) or a label map
+or embedding table that breaks its format (MalformedFile, naming the file).
+The error's type alone decides the code. Flags are validated before anything
+is written. ``run`` hands each command one ``_Outputs`` record and, if the
+command fails, removes what was registered there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .dynamic_graph import (
     graph_to_json,
     load_graph_json,
 )
-from .errors import CorruptCheckpoint, DimensionMismatch, MalformedFile, SurgraphError
+from .errors import (
+    CorruptCheckpoint, DimensionMismatch, InvalidConfig, MalformedFile, SurgraphError,
+)
 from .explain import (
     ExplainConfig,
     explain_prediction,
@@ -77,10 +80,6 @@ _PRESETS = {
     "order-dependent": preset_order_dependent,
     "planted-contact": preset_planted_contact,
 }
-
-
-class CliValidationError(Exception):
-    """Bad flag or config value; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,11 +133,11 @@ def _parse_features(spec: str) -> dict:
     chosen = [token.strip() for token in spec.split(",") if token.strip()]
     for token in chosen:
         if token not in FEATURE_NAMES:
-            raise CliValidationError(
+            raise InvalidConfig(
                 f"unknown feature {token!r}; choose from {', '.join(FEATURE_NAMES)}"
             )
     if not chosen:
-        raise CliValidationError("at least one feature must be selected")
+        raise InvalidConfig("at least one feature must be selected")
     return dict(
         use_class="class" in chosen,
         use_spatial="spatial" in chosen,
@@ -158,10 +157,7 @@ def _feature_config(args, base: FeatureConfig | None = None) -> FeatureConfig:
     overrides = {f: getattr(args, f) for f in _FEATURE_FLAGS if getattr(args, f) is not None}
     if args.features is not None:
         overrides.update(_parse_features(args.features))
-    try:
-        return replace(base or FeatureConfig(), **overrides)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from exc
+    return replace(base or FeatureConfig(), **overrides)
 
 
 def _add_feature_flags(parser):
@@ -198,13 +194,10 @@ def _train_config(args, base: TrainConfig | None) -> TrainConfig:
         if getattr(args, flag, None) is not None
     }
     overrides["feature_config"] = _feature_config(args, base and base.feature_config)
-    try:
-        return replace(TrainConfig() if base is None else base, **overrides)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from exc
+    return replace(TrainConfig() if base is None else base, **overrides)
 
 
-def _config_from_json(data, source, error=CliValidationError) -> TrainConfig:
+def _config_from_json(data, source, error=InvalidConfig) -> TrainConfig:
     """``TrainConfig.from_json(data)``; ``error`` naming ``source`` if ``data`` is no config."""
     try:
         return TrainConfig.from_json(data)
@@ -213,11 +206,11 @@ def _config_from_json(data, source, error=CliValidationError) -> TrainConfig:
 
 
 def _read_json_flag(path: str):
-    """The JSON in a --config or --grid file; CliValidationError if it cannot be read."""
+    """The JSON in a --config or --grid file; InvalidConfig if it cannot be read."""
     try:
         return read_json(path)
     except (OSError, MalformedFile) as exc:
-        raise CliValidationError(str(exc)) from exc
+        raise InvalidConfig(str(exc)) from exc
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -226,10 +219,7 @@ def cmd_build_graphs(args, outputs: _Outputs) -> int:
     feature_cfg = _feature_config(args)
     window_cfg = None
     if args.mode == "dynamic":
-        try:
-            window_cfg = WindowConfig(window=args.window, dilation=args.dilation)
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
+        window_cfg = WindowConfig(window=args.window, dilation=args.dilation)
     manifest = load_manifest(args.manifest)
 
     out_dir = outputs.directory(Path(args.out))
@@ -290,6 +280,14 @@ def cmd_eval(args, outputs: _Outputs) -> int:
     if stored is not None:  # the checkpoint's own config, so a bad one is a corrupt checkpoint
         stored = _config_from_json(stored, args.checkpoint, CorruptCheckpoint)
     cfg = _train_config(args, stored)
+    # the config's feature width, or that width less the embedding block,
+    # which a manifest without embedding tables drops
+    fc, width = cfg.feature_config, model.config.input_dim
+    if width not in (fc.feature_dim, fc.feature_dim - fc.use_embedding * fc.embedding_dim):
+        raise DimensionMismatch(
+            f"{args.checkpoint}: the model takes {width}-d node features, "
+            f"the feature config gives {fc.feature_dim}"
+        )
     manifest = load_manifest(args.manifest)
     videos = [v for v in manifest.videos if v.split == args.split]
     metrics = evaluate(model, build_samples(videos, cfg))
@@ -298,15 +296,12 @@ def cmd_eval(args, outputs: _Outputs) -> int:
 
 
 def cmd_explain(args, outputs: _Outputs) -> int:
-    try:
-        explain_cfg = ExplainConfig(
-            iterations=args.iterations,
-            lr=args.lr,
-            sparsity=args.sparsity,
-            entropy=args.entropy,
-        )
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from exc
+    explain_cfg = ExplainConfig(
+        iterations=args.iterations,
+        lr=args.lr,
+        sparsity=args.sparsity,
+        entropy=args.entropy,
+    )
     model = load_checkpoint(args.checkpoint)
     graph = load_graph_json(args.graph)
     if graph.feature_dim != model.config.input_dim:
@@ -349,23 +344,29 @@ def cmd_synth(args, outputs: _Outputs) -> int:
             else:
                 configs = [synth_config_from_json(raw)]
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliValidationError(f"bad synth config: {exc}") from exc
+            raise InvalidConfig(f"{args.config}: bad synth config: {exc}") from exc
     else:
         preset = _PRESETS[args.preset]
         splits = ["train"] * args.train + ["val"] * args.val + ["test"] * args.test
-        try:
-            configs = [
-                preset(n_frames=args.n_frames, seed=(args.seed or 0) + index,
-                       video_id=f"{split}{index:02d}", split=split)
-                for index, split in enumerate(splits)
-            ]
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
+        configs = [
+            preset(n_frames=args.n_frames, seed=(args.seed or 0) + index,
+                   video_id=f"{split}{index:02d}", split=split)
+            for index, split in enumerate(splits)
+        ]
+        needed = sum(p.duration for p in configs[0].phase_script) if configs else 0
+        if needed > args.n_frames:
+            raise InvalidConfig(
+                f"--n-frames {args.n_frames} is below the {args.preset} preset's minimum "
+                f"of {needed} frames"
+            )
     if not configs:
-        raise CliValidationError("synth config defines no videos")
+        raise InvalidConfig("synth config defines no videos")
 
     out_dir = outputs.directory(Path(args.out))
-    manifest_path, manifest = generate_dataset(out_dir, configs, fps=fps)
+    try:
+        manifest_path, manifest = generate_dataset(out_dir, configs, fps=fps)
+    except InvalidConfig as exc:  # a script longer than its video, or phase rules no draw met
+        raise type(exc)(f"{args.config or '--preset ' + args.preset}: {exc}") from exc
     total = sum(cfg.n_frames for cfg in configs)
     print(
         f"wrote {len(configs)} videos ({total} frames) to {out_dir}; "
@@ -377,7 +378,7 @@ def cmd_synth(args, outputs: _Outputs) -> int:
 def cmd_ablate(args, outputs: _Outputs) -> int:
     raw = _read_json_flag(args.grid)
     if not isinstance(raw, list):
-        raise CliValidationError(f"{args.grid}: grid must be a JSON array of training configs")
+        raise InvalidConfig(f"{args.grid}: grid must be a JSON array of training configs")
     grid = [_config_from_json(entry, f"{args.grid}: entry {k}") for k, entry in enumerate(raw)]
     manifest = load_manifest(args.manifest)
     rows = run_ablation(grid, manifest)
@@ -475,10 +476,10 @@ def run(argv=None) -> int:
         except BaseException:
             outputs.discard()
             raise
-    except CliValidationError as exc:
+    except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SurgraphError, OSError, KeyError, ValueError) as exc:
+    except (SurgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

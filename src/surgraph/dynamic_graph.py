@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DuplicateEntry, EmptyWindow, MalformedFile, OutOfRange, ShapeMismatch, SurgraphError,
+    DuplicateEntry, EmptyWindow, InvalidConfig, MalformedFile, OutOfRange, ShapeMismatch,
+    SurgraphError, check_fields,
 )
 from .ingest import read_json
 from .scene_graph import TEMPORAL_DIM, FeatureConfig, GraphArrays, SceneGraph
@@ -60,10 +61,11 @@ class WindowConfig:
     label_policy: str = LABEL_NEWEST
 
     def __post_init__(self):
+        check_fields(self)
         if self.window < 1 or self.dilation < 1:
-            raise ValueError("window and dilation must be >= 1")
+            raise InvalidConfig("window and dilation must be >= 1")
         if self.label_policy not in (LABEL_NEWEST, LABEL_CENTER):
-            raise ValueError(f"unknown label_policy {self.label_policy!r}")
+            raise InvalidConfig(f"unknown label_policy {self.label_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,75 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the field check of the config dataclasses.
 
 Every error carries a human-readable message; callers that need to branch
 should catch the specific class, not parse the text.
 """
 
+import math
+import operator
+from collections.abc import Iterable
+from contextlib import suppress
+from dataclasses import fields
+from numbers import Real
+
+import numpy as np
+
 
 class SurgraphError(Exception):
     """Base class for all package-specific errors."""
+
+
+# --- configuration -----------------------------------------------------------
+
+class InvalidConfig(SurgraphError, ValueError):
+    """A config field or command-line flag has a bad value; the message names
+    the field or flag. The command line exits 1 for it."""
+
+
+def config_value(name: str, value, kind: type):
+    """``value`` of the config field ``name`` as a plain ``kind``: int, float, bool or str.
+
+    An int is whatever ``operator.index`` takes, numpy ints included; a float
+    is a finite real number. A bool is neither. Anything else raises
+    InvalidConfig naming ``name``.
+    """
+    is_bool = isinstance(value, (bool, np.bool_))
+    if kind is bool and is_bool:
+        return bool(value)
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is int and not is_bool:
+        with suppress(TypeError):
+            return operator.index(value)
+    if kind is float and not is_bool and isinstance(value, Real):
+        with suppress(OverflowError):  # an int too large for a float
+            if math.isfinite(value):
+                return float(value)
+    expected = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+    raise InvalidConfig(f"{name} must be {expected[kind]}, not {value!r}")
+
+
+_FIELD_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def check_fields(config) -> None:
+    """Check and store, by ``config_value``, each field of the frozen dataclass
+    ``config`` annotated ``int``, ``float``, ``bool`` or ``str``, and each item
+    of one annotated ``tuple[int, ...]``, which is stored as a tuple.
+
+    The annotations are read as strings, as ``from __future__ import
+    annotations`` leaves them; other fields are left to the caller.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_KINDS:
+            value = config_value(f.name, value, _FIELD_KINDS[f.type])
+        elif f.type == "tuple[int, ...]":
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise InvalidConfig(f"{f.name} must be a list of integers, not {value!r}")
+            value = tuple(config_value(f"{f.name} item", v, int) for v in value)
+        else:
+            continue
+        object.__setattr__(config, f.name, value)
 
 
 # --- mask / label / embedding loading ---------------------------------------
@@ -149,7 +212,7 @@ class NotTrained(SurgraphError):
 
 # --- synthetic data ----------------------------------------------------------
 
-class ScriptTooLong(SurgraphError):
+class ScriptTooLong(InvalidConfig):
     """Phase script durations exceed the frame budget."""
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .dynamic_graph import EDGE_KINDS, EDGE_SPATIAL, EDGE_TEMPORAL, DynamicGraph
-from .errors import NonFiniteLoss, NotTrained
+from .errors import InvalidConfig, NonFiniteLoss, NotTrained, check_fields
 from .gcn import (
     AdamHyper,
     AdamState,
@@ -51,10 +51,11 @@ class ExplainConfig:
     entropy: float = 0.1  # weight of sum of binary entropies
 
     def __post_init__(self):
+        check_fields(self)
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise InvalidConfig("iterations must be >= 1")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise InvalidConfig("lr must be positive")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -50,9 +49,11 @@ from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
     EmptyGraph,
+    InvalidConfig,
     OutOfRange,
     ShapeMismatch,
     VersionMismatch,
+    check_fields,
 )
 from .ingest import atomic_write
 from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax
@@ -69,7 +70,7 @@ class GcnConfig:
 
     Each dimension and the seed is an int: whatever ``operator.index`` takes,
     numpy ints included, stored as a plain int. A bool, a float or anything
-    else raises ValueError.
+    else raises InvalidConfig, a ValueError.
     """
 
     input_dim: int
@@ -78,30 +79,15 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "num_classes", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        try:
-            hidden = tuple(_integer("hidden_dims", h) for h in self.hidden_dims)
-        except TypeError:
-            raise ValueError(f"hidden_dims must be ints, not {self.hidden_dims!r}") from None
-        object.__setattr__(self, "hidden_dims", hidden)
+        check_fields(self)
         if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if not hidden:
-            raise ValueError("hidden_dims must be non-empty")
-        if min(hidden) < 1:
-            raise ValueError("hidden_dims must all be >= 1")
+            raise InvalidConfig("input_dim must be >= 1")
+        if not self.hidden_dims:
+            raise InvalidConfig("hidden_dims must be non-empty")
+        if min(self.hidden_dims) < 1:
+            raise InvalidConfig("hidden_dims must all be >= 1")
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+            raise InvalidConfig("num_classes must be >= 2")
 
 
 def parameter_shapes(cfg: GcnConfig) -> tuple[tuple[int, ...], ...]:

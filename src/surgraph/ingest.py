@@ -407,8 +407,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
     finite number of at least 1 (see ``checked_fps``), and MalformedFile,
-    naming the manifest, the video and the key, for a missing key, a
-    ``split`` outside train/val/test or a path (``mask_dir``,
+    naming the manifest, the video and the key, for a missing or unknown
+    key, a ``split`` outside train/val/test or a path (``mask_dir``,
     ``phase_csv``, ``embeddings``) that is not a string. A path that names
     no folder or file raises MissingPath, a FileNotFoundError that names
     the manifest, the video and the key.
@@ -416,6 +416,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     raw = read_json(path)
     entries = _required(raw, "videos", path, "the manifest")
+    _known_keys(raw, ("fps", "videos"), path, "the manifest")
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
     fps = checked_fps(raw.get("fps", 1), path)
@@ -427,6 +428,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             for key in ("split", "mask_dir", "phase_csv")
         )
         where = f"video {video_id!r}"
+        _known_keys(entry, ("id", "split", "mask_dir", "phase_csv", "embeddings"), path, where)
         if split not in VALID_SPLITS:
             raise MalformedFile(
                 f"{path}: {where} has 'split' {split!r}, not one of {', '.join(VALID_SPLITS)}"
@@ -548,6 +550,14 @@ def _required(obj, key: str, path: Path, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedFile(f"{path}: {where} has no {key!r}")
     return obj[key]
+
+
+def _known_keys(obj: dict, keys, path: Path, where: str) -> None:
+    """MalformedFile naming the manifest ``path``, ``where`` and the key if ``obj``
+    has a key outside ``keys``, such as a misspelt ``embeddings``."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise MalformedFile(f"{path}: {where} has unknown key {unknown[0]!r}")
 
 
 def _resolve(path: Path, where: str, key: str, value) -> Path:

@@ -37,9 +37,13 @@ from .errors import (
     EmptyEvalSet,
     EmptyMask,
     EmptyTrainSet,
+    InvalidConfig,
+    MissingFrameKey,
     MissingLabel,
     NonFiniteLoss,
     OverlappingSplits,
+    SurgraphError,
+    check_fields,
 )
 from .gcn import (
     DEFAULT_HIDDEN_DIMS,
@@ -108,14 +112,16 @@ class TrainConfig:
     label_policy: str = LABEL_NEWEST
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InvalidConfig("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidConfig("batch_size must be >= 1")
         self.window_config()  # validates window, dilation and label_policy
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+            raise InvalidConfig("patience must be >= 1")
+        # validates hidden_dims and num_classes as the model will take them
+        GcnConfig(input_dim=1, hidden_dims=self.hidden_dims, num_classes=self.num_classes)
 
     def window_config(self) -> WindowConfig:
         return WindowConfig(
@@ -174,7 +180,9 @@ def load_static_graphs(
     """The static graph of every usable frame of ``video``, in frame order.
 
     A frame with no segment of at least ``min_segment_pixels`` is left out
-    and appended to ``skipped`` as ``video/frame``. With ``threads > 1``
+    and appended to ``skipped`` as ``video/frame``. Any other SurgraphError
+    of a frame is raised again with the mask file's path before its message,
+    or the embedding table's for a MissingFrameKey. With ``threads > 1``
     frames are built across a thread pool; only the benchmark's per-layer
     timing asks for one, since the pool was measured slower than one thread.
     """
@@ -186,11 +194,14 @@ def load_static_graphs(
 
     def build_one(item):
         frame, path = item
-        mask = load_mask(path, frame_index=frame)
         try:
-            return frame, build_static_graph(mask, table, feature_cfg)
+            return frame, build_static_graph(load_mask(path, frame_index=frame), table, feature_cfg)
         except EmptyMask:
             return frame, None
+        except MissingFrameKey as exc:
+            raise MissingFrameKey(f"{video.embeddings}: {exc}") from exc
+        except SurgraphError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

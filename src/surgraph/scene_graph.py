@@ -20,7 +20,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyMask, MissingFrameKey, OutOfRange, ShapeMismatch
+from .errors import (
+    EmptyMask, InvalidConfig, MissingFrameKey, OutOfRange, ShapeMismatch, check_fields,
+)
 from .ingest import EmbeddingTable, SegmentationMask
 from .numerics import unique_sorted
 
@@ -55,12 +57,13 @@ class FeatureConfig:
     connectivity: int = 4
 
     def __post_init__(self):
+        check_fields(self)
         if self.segment_mode not in (SEGMENT_MODE_CLASS, SEGMENT_MODE_COMPONENT):
-            raise ValueError(f"unknown segment_mode {self.segment_mode!r}")
+            raise InvalidConfig(f"unknown segment_mode {self.segment_mode!r}")
         if self.connectivity not in (4, 8):
-            raise ValueError("connectivity must be 4 or 8")
+            raise InvalidConfig("connectivity must be 4 or 8")
         if self.feature_dim == 0:
-            raise ValueError("at least one feature block must be active")
+            raise InvalidConfig("at least one feature block must be active")
 
     @property
     def feature_dim(self) -> int:

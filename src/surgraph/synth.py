@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AmbiguousRules, ScriptTooLong
+from .errors import AmbiguousRules, InvalidConfig, ScriptTooLong, check_fields
 from .ingest import (
     DEFAULT_PHASE_NAMES,
+    VALID_SPLITS,
     DatasetManifest,
     PhaseTrack,
     SegmentationMask,
@@ -55,13 +56,14 @@ class ScriptPhase:
     avoid: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if self.duration < 1:
-            raise ValueError("phase duration must be >= 1")
+            raise InvalidConfig("phase duration must be >= 1")
         if not 0 <= self.phase_id < len(DEFAULT_PHASE_NAMES):
-            raise ValueError(f"phase id {self.phase_id} outside the phase vocabulary")
+            raise InvalidConfig(f"phase id {self.phase_id} outside the phase vocabulary")
         for t in self.tools:
             if t not in TOOL_CLASSES:
-                raise ValueError(f"class {t} is not a tool class")
+                raise InvalidConfig(f"class {t} is not a tool class")
         object.__setattr__(self, "tools", tuple(sorted(self.tools)))
         object.__setattr__(self, "touch", tuple(tuple(pair) for pair in self.touch))
         object.__setattr__(self, "avoid", tuple(tuple(pair) for pair in self.avoid))
@@ -69,6 +71,9 @@ class ScriptPhase:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """One synthetic video. ``video_id`` names its folder, so it is one path
+    component; ``split`` is one of ``ingest.VALID_SPLITS``."""
+
     width: int = 64
     height: int = 64
     n_frames: int = 100
@@ -80,15 +85,21 @@ class SynthConfig:
     split: str = "train"
 
     def __post_init__(self):
+        check_fields(self)
         if self.width < 16 or self.height < 16:
-            raise ValueError("frames must be at least 16x16")
+            raise InvalidConfig("frames must be at least 16x16")
         if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+            raise InvalidConfig("n_frames must be >= 1")
         if not self.phase_script:
-            raise ValueError("phase_script must be non-empty")
+            raise InvalidConfig("phase_script must be non-empty")
         for p in (self.tool_noise, self.speckle_noise):
             if not 0.0 <= p < 1.0:
-                raise ValueError(f"noise probability {p} outside [0, 1)")
+                raise InvalidConfig(f"noise probability {p} outside [0, 1)")
+        name = self.video_id
+        if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+            raise InvalidConfig(f"video_id {name!r} is not a single folder name")
+        if self.split not in VALID_SPLITS:
+            raise InvalidConfig(f"split {self.split!r} is not one of {', '.join(VALID_SPLITS)}")
         object.__setattr__(self, "phase_script", tuple(self.phase_script))
 
 
@@ -227,9 +238,9 @@ def generate_sequence(cfg: SynthConfig):
                 img = scratch
                 break
         else:
-            raise RuntimeError(
-                f"could not satisfy contact rules for phase {phase.phase_id} "
-                f"in {cfg.width}x{cfg.height} frames"
+            raise InvalidConfig(
+                f"video {cfg.video_id!r}: could not satisfy the rules of phase "
+                f"{phase.phase_id} in {cfg.width}x{cfg.height} frames"
             )
         _corrupt_frame(img, phase, rng, cfg.tool_noise)
         _speckle_frame(img, rng, cfg.speckle_noise)

@@ -946,3 +946,117 @@ def test_main_logs_training_progress_to_stderr(dataset, tmp_path):
     assert "INFO:surgraph.pipeline:epoch 0: train_loss=" in proc.stderr
     assert "INFO:surgraph.pipeline:epoch 1: train_loss=" in proc.stderr
     assert proc.stdout.startswith("accuracy=") and "epoch" not in proc.stdout
+
+
+_PHASE = {"phase_id": 4, "duration": 12, "tools": [14]}
+_MISTYPED = [
+    ("train", {"epochs": 2.5}, "epochs"),
+    ("train", {"lr": "x"}, "lr"),
+    ("train", {"feature_config": {"min_segment_pixels": "5"}}, "min_segment_pixels"),
+    ("train", {"seed": "a"}, "seed"),
+    ("train", {"batch_size": True}, "batch_size"),
+    ("train", {"patience": 1.5}, "patience"),
+    ("train", {"hidden_dims": ["4"]}, "hidden_dims"),
+    ("ablate", {"epochs": 2.5}, "epochs"),
+    ("checkpoint", {"epochs": 2.5}, "epochs"),
+    ("synth", {"seed": "x"}, "seed"),
+    ("synth", {"width": 32.5}, "width"),
+    ("synth", {"video_id": 5}, "video_id"),
+    ("synth", {"phase_script": [{**_PHASE, "duration": 2.5}]}, "duration"),
+    ("synth", {"video_id": "../esc"}, "video_id"),
+    ("synth", {"split": "holdout"}, "split"),
+    ("synth", {"phase_script": [{**_PHASE, "touch": [[14, 8]]}]}, "phase 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fields, key", _MISTYPED,
+    ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(_MISTYPED)],
+)
+def test_a_bad_config_value_exits_naming_the_file_and_the_key(
+    dataset, tmp_path, capsys, command, fields, key
+):
+    """``fields`` go into a train config, a grid entry, a checkpoint's stored
+    config or the first video of a synth config. The command returns, without
+    a traceback, and leaves nothing but the config in ``tmp_path``."""
+    out = tmp_path / "out"
+    if command == "synth":
+        config = _synth_config(tmp_path, 1)
+        raw = json.loads(config.read_text())
+        raw["videos"][0].update(fields)
+        config.write_text(json.dumps(raw))
+        argv = ["synth", "--config", config, "--out", out / "data"]
+    elif command == "checkpoint":
+        config = tmp_path / "stored.ckpt"
+        model = init_model(GcnConfig(input_dim=17, hidden_dims=(4,), num_classes=19))
+        save_checkpoint(model, config, extra={"train_config": fields})
+        argv = ["eval", "--checkpoint", config, "--manifest", dataset]
+    elif command == "ablate":
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps([fields]))
+        argv = ["ablate", "--manifest", dataset, "--grid", config, "--out-csv", out / "a.csv"]
+    else:
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(fields))
+        argv = ["train", "--manifest", dataset, "--config", config,
+                "--out-checkpoint", out / "m.ckpt"]
+    assert run([str(a) for a in argv]) == (2 if command == "checkpoint" else 1)
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"error: {config}: ") and key in first
+    assert [p.name for p in tmp_path.iterdir()] == [config.name]
+
+
+@pytest.mark.parametrize(
+    "stored", [{"feature_config": {"num_classes": 16}}, None], ids=["narrower", "absent"]
+)
+def test_eval_names_the_checkpoint_whose_model_the_feature_config_does_not_fit(
+    dataset, tmp_path, capsys, stored
+):
+    model = init_model(GcnConfig(input_dim=18, hidden_dims=(4,), num_classes=19))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, ckpt, extra={} if stored is None else {"train_config": stored})
+    assert run(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: the model takes 18-d node features, the feature config gives "
+        f"{16 if stored else 17}\n"
+    )
+
+
+def test_embedding_features_without_embeddings_exit_1(dataset, tmp_path, capsys):
+    out = tmp_path / "graphs"
+    assert run(["build-graphs", "--manifest", str(dataset), "--out", str(out),
+                "--features", "embedding"]) == 1
+    assert "at least one feature block must be active" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "preset, n_frames, minimum",
+    [("distinct-tools", 3, 4), ("order-dependent", 1, 2), ("planted-contact", 1, 2)],
+)
+def test_synth_below_the_preset_minimum_names_the_flag(tmp_path, capsys, preset, n_frames, minimum):
+    out = tmp_path / "data"
+    assert run(["synth", "--out", str(out), "--preset", preset, "--n-frames", str(n_frames)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --n-frames {n_frames} is below the {preset} preset's minimum of {minimum} frames\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [(lambda blob: b"XXXX" + blob[4:], "frame 20: expected magic b'SGM1', got b'XXXX'"),
+     (lambda blob: blob[:12] + bytes([17] * 20) + blob[32:], "class id 17 outside one-hot of 17")],
+    ids=["bad-magic", "class-outside-one-hot"],
+)
+def test_a_frame_error_names_the_mask_file(dataset, tmp_path, capsys, damage, detail):
+    victim = load_manifest(dataset).videos[-1].mask_dir / "000020.sgm"
+    original = victim.read_bytes()
+    victim.write_bytes(damage(original))
+    try:
+        code = run(["build-graphs", "--manifest", str(dataset), "--out", str(tmp_path / "g"),
+                    "--split", "test", "--num-classes", "17"])
+    finally:
+        victim.write_bytes(original)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {victim}: {detail}\n"

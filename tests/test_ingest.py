@@ -397,6 +397,20 @@ def test_manifest_missing_key_names_manifest_video_and_key(tmp_path, key):
     assert str(info.value) == f"{path}: {where} has no '{key}'"
 
 
+@pytest.mark.parametrize("where", ["the manifest", "video 'a'"])
+def test_manifest_unknown_key_names_manifest_video_and_key(tmp_path, where):
+    # a misspelt "embeddings" would otherwise leave the video without its table
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    video = {"id": "a", "mask_dir": "a/masks", "phase_csv": "a/phases.csv", "split": "train"}
+    raw = {"fps": 1, "videos": [video]}
+    (raw if where == "the manifest" else video)["embedings"] = "a/embeddings.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(MalformedFile) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: {where} has unknown key 'embedings'"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("mask_dir", 5), ("phase_csv", ["a/phases.csv"]), ("embeddings", 0), ("embeddings", True)],
