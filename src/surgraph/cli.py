@@ -4,9 +4,11 @@ Exit codes: 0 success; 1 for ``InvalidConfig``, a bad flag or config value;
 2 for any other ``SurgraphError`` or an ``OSError``, such as a checkpoint
 whose stored training config is malformed (CorruptCheckpoint) or a label map
 or embedding table that breaks its format (MalformedFile, naming the file).
-The error's type alone decides the code. Flags are validated before anything
-is written. ``run`` hands each command one ``_Outputs`` record and, if the
-command fails, removes what was registered there.
+The error's type alone decides the code. An ``OSError`` that names a file,
+such as a missing one, prints as ``error: <path>: <reason>``. Flags are
+validated before anything is written. ``run`` hands each command one
+``_Outputs`` record and, if the command fails, removes what was registered
+there.
 """
 
 from __future__ import annotations
@@ -210,7 +212,14 @@ def _read_json_flag(path: str):
     try:
         return read_json(path)
     except (OSError, MalformedFile) as exc:
-        raise InvalidConfig(str(exc)) from exc
+        raise InvalidConfig(_message(exc)) from exc
+
+
+def _message(exc: Exception) -> str:
+    """The error's text; an OSError that names a file reads ``<path>: <reason>``."""
+    if isinstance(exc, OSError) and exc.filename is not None and exc.strerror:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -480,7 +489,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SurgraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

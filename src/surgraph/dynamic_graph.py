@@ -12,7 +12,8 @@ consecutive track steps is then one node range and one edge range of the
 track. ``pipeline.iter_windows`` builds one track per residue of the frames
 modulo the dilation, since a dilated window holds frames of one residue,
 and cuts every window of that residue out of it; neighbouring windows share
-all but one step. Only ``x`` is copied, to write its temporal block.
+all but one step. ``TrackSteps.features`` puts a window's ``x`` together:
+it is copied only to write its temporal block.
 
 This module also owns the graph file format: ``graph_to_json`` and
 ``dynamic_graph_to_json`` encode static and dynamic graphs, ``WindowText``
@@ -238,6 +239,11 @@ class Track(GraphArrays):
             group_start=np.searchsorted(group_key[place], np.arange(2 * steps)).tolist(),
         )
 
+    @cached_property
+    def temporal_block(self) -> slice | None:
+        """The columns of the temporal block in ``x``; None without one."""
+        return self.config.block_slices()["temporal"] if self.config.use_temporal else None
+
     def steps(self, start: int, stop: int) -> "TrackSteps":
         """The window of steps ``start .. stop - 1``."""
         return TrackSteps(self, start, stop)
@@ -249,6 +255,39 @@ class TrackSteps(NamedTuple):
     track: Track
     start: int
     stop: int
+
+    @property
+    def node_count(self) -> int:
+        return self.track.node_start[self.stop] - self.track.node_start[self.start]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.track.x.shape[1]
+
+    def features(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The window's n x d features: the track's rows, with the temporal
+        block, if the config has one, encoding each node's step in the window.
+
+        With ``out`` (n x d float64) the features are written into it and it
+        is returned. Otherwise the result is read-only: a view of the track
+        without a temporal block, else a new array.
+        """
+        track, start, stop = self
+        first, last = track.node_start[start], track.node_start[stop]
+        x = track.x[first:last]
+        temporal = track.temporal_block
+        if out is None and temporal is None:
+            return x
+        fresh = out is None
+        if fresh:
+            out = x.copy()
+        else:
+            out[...] = x
+        if temporal is not None:
+            out[:, temporal] = _temporal_table(stop - start)[track.step[first:last] - start]
+        if fresh:
+            out.flags.writeable = False
+        return out
 
 
 def build_dynamic_graph(
@@ -271,15 +310,10 @@ def build_dynamic_graph(
     steps = stop - start
     first, last = track.node_start[start], track.node_start[stop]
     edges = slice(track.group_start[2 * start], track.group_start[2 * stop - 1])
-    t = track.step[first:last] - start
-    x = track.x[first:last]
     feat_cfg = track.config
-    if feat_cfg.use_temporal:
-        x = x.copy()
-        x[:, feat_cfg.block_slices()["temporal"]] = _temporal_table(steps)[t]
     frames = track.frame_indices[start:stop]
     return DynamicGraph(
-        x=x,
+        x=graphs.features(),
         class_ids=track.class_ids[first:last],
         centroids=track.centroids[first:last],
         sizes=track.sizes[first:last],
@@ -290,7 +324,7 @@ def build_dynamic_graph(
         dilation=cfg.dilation,
         label_frame_index=frames[steps // 2 if cfg.label_policy == LABEL_CENTER else -1],
         frame_indices=frames,
-        t=t,
+        t=track.step[first:last] - start,
         edge_kinds=track.edge_kinds[edges],
     )
 

@@ -4,10 +4,13 @@ A sample is one dilated window of static graphs collapsed into a dynamic
 graph, labelled by its anchor frame's phase. ``load_static_graphs`` turns a
 video's masks into static graphs and ``iter_windows`` stitches them into
 windows; ``build_samples`` and the ``build-graphs`` command both go through
-these two. ``fit`` trains on samples the caller holds, and ``train`` builds
-a manifest's samples and calls ``fit``. Training accumulates gradients
-over a batch of windows, applies one Adam step per batch, and keeps the model
-with the best validation accuracy. Everything is seeded and bitwise
+these two. A sample keeps its window's normalized adjacency and the track
+steps the window was cut from, and builds its features from them on each
+read: the windows of a video share one copy of its node features. ``fit``
+trains on samples the caller holds, and ``train`` builds a manifest's
+samples and calls ``fit``. Training accumulates gradients over a batch of
+windows, applies one Adam step per batch, and keeps the model with the best
+validation accuracy. Everything is seeded and bitwise
 reproducible. A ``TrainConfig``'s JSON is its dataclass fields.
 """
 
@@ -29,11 +32,13 @@ from .dynamic_graph import (
     LABEL_NEWEST,
     DynamicGraph,
     Track,
+    TrackSteps,
     WindowConfig,
     build_dynamic_graph,
     context_seconds,
 )
 from .errors import (
+    DimensionMismatch,
     EmptyEvalSet,
     EmptyMask,
     EmptyTrainSet,
@@ -144,17 +149,35 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class GraphSample:
-    """One labelled window, with forward inputs precomputed."""
+    """One labelled window: the track steps it was cut from and its adjacency.
+
+    The normalized adjacency is built once. The features are not stored:
+    ``x`` builds them from the track the window was cut from on each read,
+    and every window of a video's dilation residue shares that track. So a
+    video's node features are held once, not once per window that holds
+    their frame. On the benchmark's 30-step windows (about 123 nodes of 50
+    features) a sample held about 71 KB with its own ``x`` (49 KB of it) and
+    holds about 24 KB now.
+    """
 
     video_id: str
     frame_index: int
     label: int
-    x: np.ndarray
+    steps: TrackSteps
     adjacency: SparseAdjacency
 
     @property
+    def x(self) -> np.ndarray:
+        """The window's n x d features, read-only (``TrackSteps.features``)."""
+        return self.steps.features()
+
+    @property
+    def node_count(self) -> int:
+        return self.steps.node_count
+
+    @property
     def feature_dim(self) -> int:
-        return self.x.shape[1]
+        return self.steps.feature_dim
 
 
 def split_dataset(
@@ -219,6 +242,17 @@ def iter_windows(
 
     Windows at the start of a video are shorter, and a frame missing from
     ``static`` is simply absent from the windows that would have held it.
+    """
+    for frame, steps in _window_steps(static, window_cfg):
+        yield frame, build_dynamic_graph(steps, window_cfg)
+
+
+def _window_steps(
+    static: dict[int, SceneGraph], window_cfg: WindowConfig
+) -> Iterator[tuple[int, TrackSteps]]:
+    """``(frame, steps)`` for every frame of ``static``: the track steps
+    ``iter_windows`` builds the frame's window from.
+
     The frames of a window are all equal modulo the dilation, so each window
     is cut out of one ``Track`` of the present frames with its frame's
     residue, built once per residue.
@@ -234,7 +268,7 @@ def iter_windows(
         stop = bisect_right(residues[r], frame)
         # the oldest frame is the earliest non-negative one of the residue within reach
         start = bisect_left(residues[r], max(frame - reach, r), 0, stop)
-        yield frame, build_dynamic_graph(tracks[r].steps(start, stop), window_cfg)
+        yield frame, tracks[r].steps(start, stop)
 
 
 def build_samples(
@@ -259,7 +293,8 @@ def build_samples(
         if not static:
             continue
         track = load_phase_labels(video.phase_csv, video_id=video.video_id)
-        for frame, dyn in iter_windows(static, window_cfg):
+        for frame, steps in _window_steps(static, window_cfg):
+            dyn = build_dynamic_graph(steps, window_cfg)
             try:
                 label = track.label_at(dyn.label_frame_index)
             except MissingLabel:
@@ -270,7 +305,7 @@ def build_samples(
                     video_id=video.video_id,
                     frame_index=frame,
                     label=label,
-                    x=dyn.x,
+                    steps=steps,
                     adjacency=normalize_adjacency(dyn),
                 )
             )
@@ -313,11 +348,21 @@ def fit(
     after ``patience`` epochs without a validation improvement. With no val
     samples the final model is returned, no early stopping happens, and
     the last record gains "train_accuracy" and "train_macro_f1": the final
-    model scored on the train samples.
+    model scored on the train samples. Raises DimensionMismatch, naming both
+    windows, if a train or val sample's feature width is not the first
+    train sample's.
     """
     if not train_samples:
         raise EmptyTrainSet("no train samples")
-    input_dim = train_samples[0].feature_dim
+    first = train_samples[0]
+    input_dim = first.feature_dim
+    for sample in (*train_samples, *val_samples):
+        if sample.feature_dim != input_dim:
+            raise DimensionMismatch(
+                f"video {sample.video_id}, frame {sample.frame_index} has "
+                f"{sample.feature_dim}-d features, but video {first.video_id}, "
+                f"frame {first.frame_index} has {input_dim}-d"
+            )
     model = init_model(
         GcnConfig(
             input_dim=input_dim,
@@ -403,27 +448,31 @@ def evaluate(
     """Window-level accuracy and macro F1 over precomputed samples.
 
     Windows whose adjacency is dense (``SparseAdjacency.is_dense``) with
-    equal feature shapes run as stacks of at most ``STACK_ROWS`` node rows,
-    one ``forward_prepared`` call per stack; each other window is one call.
-    The predictions are bitwise those of one call per window.
+    equal node counts and feature widths run as stacks of at most
+    ``STACK_ROWS`` node rows, one ``forward_prepared`` call per stack, each
+    window's features written into its slot of the stack; each other window
+    is one call. The predictions are bitwise those of one call per window.
     ``workspace`` holds the kernel's intermediates; None makes one for this call.
     """
     if not samples:
         raise EmptyEvalSet("no samples to evaluate")
     workspace = Workspace() if workspace is None else workspace
     preds = np.empty(len(samples), dtype=np.int64)
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, sample in enumerate(samples):
+        n = sample.node_count
         # an empty window, or one whose x and adjacency disagree, goes alone to raise
-        if 0 < sample.x.shape[0] == sample.adjacency.node_count and sample.adjacency.is_dense:
-            groups.setdefault(sample.x.shape, []).append(i)
+        if 0 < n == sample.adjacency.node_count and sample.adjacency.is_dense:
+            groups.setdefault((n, sample.feature_dim), []).append(i)
         else:
             preds[i] = forward_prepared(model, sample.x, sample.adjacency, workspace=workspace)[2]
     for shape, members in groups.items():
         per_stack = STACK_ROWS // shape[0]
         for start in range(0, len(members), per_stack):
             stack = members[start : start + per_stack]
-            x = np.stack([samples[i].x for i in stack])
+            x = np.empty((len(stack), *shape))
+            for k, i in enumerate(stack):
+                samples[i].steps.features(out=x[k])
             anorm = DenseStack.of(samples[i].adjacency for i in stack)
             preds[stack] = forward_prepared(model, x, anorm, workspace=workspace)[2]
     truth = [sample.label for sample in samples]

@@ -121,10 +121,12 @@ def _present_tools(img: np.ndarray) -> tuple[int, ...]:
     return tuple(t for t in TOOL_CLASSES if counts[t] >= _PRESENCE_MIN_PIXELS)
 
 
-def _expand_script(script, n_frames) -> list[ScriptPhase]:
+def _expand_script(script, n_frames, video_id) -> list[ScriptPhase]:
     total = sum(p.duration for p in script)
     if total > n_frames:
-        raise ScriptTooLong(f"script covers {total} frames, sequence has {n_frames}")
+        raise ScriptTooLong(
+            f"video {video_id!r}: script covers {total} frames, sequence has {n_frames}"
+        )
     per_frame = []
     while len(per_frame) < n_frames:
         for phase in script:
@@ -225,7 +227,7 @@ def generate_sequence(cfg: SynthConfig):
     pure function of the seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    per_frame = _expand_script(cfg.phase_script, cfg.n_frames)
+    per_frame = _expand_script(cfg.phase_script, cfg.n_frames, cfg.video_id)
     masks = []
     phases = []
     for frame, phase in enumerate(per_frame):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import surgraph.ingest
 
+from surgraph.dynamic_graph import Track, TrackSteps
 from surgraph.gcn import GcnConfig, init_model, normalize_adjacency
 from surgraph.ingest import SegmentationMask, load_manifest
 from surgraph.pipeline import GraphSample
+from surgraph.scene_graph import FeatureConfig, SceneGraph
 from surgraph.synth import generate_dataset, preset_distinct_tools
 
 # Windows per node count in ``mixed_eval_samples``. With 256-row stacks:
@@ -48,6 +50,26 @@ def distinct_pairs(ends: np.ndarray) -> np.ndarray:
     return np.unique(ends, axis=0).reshape(-1, 2)
 
 
+def one_step(x, edge_index=np.empty((0, 2), dtype=np.int64)) -> TrackSteps:
+    """The one step of a track whose features are ``x`` and edges ``edge_index``.
+
+    A ``GraphSample`` built on it reads ``x`` back bitwise: the config has a
+    class block of x's width and no temporal block.
+    """
+    n, d = x.shape
+    graph = SceneGraph(
+        x=np.array(x, dtype=np.float64),
+        class_ids=np.zeros(n, dtype=np.int64),
+        centroids=np.zeros((n, 2)),
+        sizes=np.zeros(n),
+        component_index=np.zeros(n, dtype=np.int64),
+        edge_index=np.array(edge_index, dtype=np.int64).reshape(-1, 2),
+        config=FeatureConfig(num_classes=d),
+        frame_index=0,
+    )
+    return Track.of([graph]).steps(0, 1)
+
+
 def mixed_eval_samples(seed=2, input_dim=6, num_classes=4):
     """A model and a shuffled list of labelled windows of ``MIXED_EVAL_WINDOWS`` node counts."""
     rng = np.random.default_rng(seed)
@@ -61,7 +83,9 @@ def mixed_eval_samples(seed=2, input_dim=6, num_classes=4):
             graph = SimpleNamespace(x=rng.normal(size=(n, input_dim)), edge_index=ends)
             label = int(rng.integers(num_classes))
             samples.append(
-                GraphSample("v", len(samples), label, graph.x, normalize_adjacency(graph))
+                GraphSample(
+                    "v", len(samples), label, one_step(graph.x, ends), normalize_adjacency(graph)
+                )
             )
     return model, [samples[i] for i in rng.permutation(len(samples))]
 

@@ -1,5 +1,7 @@
+import errno
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -888,6 +890,19 @@ def test_train_rejects_non_finite_embedding(dataset, tmp_path, capsys):
     assert run(argv) == 2
     assert f"{table}: embedding of frame 3, segment seg_4" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, code", [("eval", 2), ("train", 1)])
+def test_a_missing_input_file_is_named_before_the_reason(dataset, tmp_path, capsys, command, code):
+    # eval reads the checkpoint as an input (exit 2), train the config as a flag (exit 1)
+    missing = tmp_path / "missing"
+    argv = {
+        "eval": ["eval", "--checkpoint", str(missing), "--manifest", str(dataset)],
+        "train": ["train", "--manifest", str(dataset), "--config", str(missing),
+                  "--out-checkpoint", str(tmp_path / "m.ckpt")],
+    }[command]
+    assert run(argv) == code
+    assert capsys.readouterr().err == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
 
 
 @pytest.mark.parametrize("failing", ["dot", "json"])

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import json
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import mixed_eval_samples
+from conftest import mixed_eval_samples, one_step
 from surgraph import pipeline
 from surgraph.errors import (
     DimensionMismatch,
@@ -184,11 +186,11 @@ def test_stacked_evaluate_matches_one_forward_per_window():
 @pytest.mark.parametrize(
     "damage, error",
     [
-        (lambda s: dataclasses.replace(s, x=s.x[:-1]), ShapeMismatch),
-        (lambda s: dataclasses.replace(s, x=s.x[:, :-1]), DimensionMismatch),
+        (lambda s: dataclasses.replace(s, steps=one_step(s.x[:-1])), ShapeMismatch),
+        (lambda s: dataclasses.replace(s, steps=one_step(s.x[:, :-1])), DimensionMismatch),
         (
             lambda s: dataclasses.replace(
-                s, x=s.x[:0], adjacency=SparseAdjacency.from_triples(0, [], [], [])
+                s, steps=one_step(s.x[:0]), adjacency=SparseAdjacency.from_triples(0, [], [], [])
             ),
             EmptyGraph,
         ),
@@ -440,7 +442,74 @@ def test_fit_names_the_sample_whose_loss_is_not_finite():
     adjacency = normalize_adjacency(SimpleNamespace(x=x, edge_index=ends))
     bad = x.copy()
     bad[1, 0] = np.nan
-    samples = [GraphSample("v1", 4, 0, x, adjacency), GraphSample("v2", 7, 1, bad, adjacency)]
+    samples = [
+        GraphSample("v1", 4, 0, one_step(x, ends), adjacency),
+        GraphSample("v2", 7, 1, one_step(bad, ends), adjacency),
+    ]
     cfg = TrainConfig(epochs=2, batch_size=1, hidden_dims=(4,), num_classes=2)
     with pytest.raises(NonFiniteLoss, match=r"^epoch 0, video v2, frame 7: loss nan$"):
         fit(cfg, samples, [])
+
+
+def test_samples_hold_their_track_not_a_copy_of_their_features(tmp_path):
+    # 30-step windows with a temporal block: every window's x is a new array,
+    # and the samples' copies would far outweigh the one track they share
+    cfg = dataclasses.replace(
+        SMALL_TRAIN,
+        feature_config=FeatureConfig(use_spatial=True, use_size=True, use_temporal=True),
+        window=30,
+        dilation=1,
+    )
+    _, manifest = generate_dataset(
+        tmp_path, [preset_distinct_tools(n_frames=60, phase_frames=15, width=32, height=32)]
+    )
+    video = manifest.videos[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples = build_samples([video], cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 60
+    assert held < sum(s.x.nbytes for s in samples)
+
+    static = pipeline.load_static_graphs(video, cfg.feature_config, [])
+    windows = dict(pipeline.iter_windows(static, cfg.window_config()))
+    for s in samples:
+        x = s.x
+        assert x.dtype == windows[s.frame_index].x.dtype
+        assert x.shape == windows[s.frame_index].x.shape
+        assert x.tobytes() == windows[s.frame_index].x.tobytes()
+        assert not x.flags.writeable
+        with pytest.raises(AttributeError):
+            s.x = x
+
+
+def test_fit_names_both_windows_of_different_feature_widths(tiny_manifest, tmp_path):
+    # an embedding table for one video only: build_static_graph drops the
+    # block for the others, so their windows are 2 features narrower
+    table = {
+        str(frame): {f"seg_{c}": [0.5, 1.0] for c in range(17)} for frame in range(40)
+    }
+    path = tmp_path / "embeddings.json"
+    path.write_text(json.dumps(table))
+    manifest = dataclasses.replace(
+        tiny_manifest,
+        videos=tuple(
+            dataclasses.replace(v, embeddings=path) if v.video_id == "train1" else v
+            for v in tiny_manifest.videos
+        ),
+    )
+    cfg = dataclasses.replace(
+        SMALL_TRAIN,
+        feature_config=FeatureConfig(use_embedding=True, embedding_dim=2),
+        epochs=1,
+    )
+    with pytest.raises(
+        DimensionMismatch,
+        match=r"^video train1, frame 0 has 19-d features, but video train0, frame 0 has 17-d$",
+    ):
+        train(cfg, manifest)

@@ -86,6 +86,18 @@ def test_script_too_long():
         generate_sequence(cfg)
 
 
+def test_script_too_long_names_its_video(tmp_path):
+    # in a dataset of several videos, the error points at the one whose script is too long
+    script = (ScriptPhase(phase_id=1, duration=10, tools=(10,)),)
+    configs = [
+        SynthConfig(n_frames=n, phase_script=script, video_id=video_id)
+        for video_id, n in (("fits", 12), ("short", 5))
+    ]
+    message = r"^video 'short': script covers 10 frames, sequence has 5$"
+    with pytest.raises(ScriptTooLong, match=message):
+        generate_dataset(tmp_path, configs)
+
+
 def test_noise_free_generation_is_deterministic():
     a, _, _ = generate_sequence(TWO_PHASE)
     b, _, _ = generate_sequence(TWO_PHASE)
