@@ -32,6 +32,7 @@ from .dynamic_graph import (
 )
 from .errors import (
     CorruptCheckpoint, DimensionMismatch, InvalidConfig, MalformedFile, SurgraphError,
+    decode_config,
 )
 from .explain import (
     ExplainConfig,
@@ -62,7 +63,6 @@ from .pipeline import (
 )
 from .scene_graph import FeatureConfig
 from .synth import (
-    SynthConfig,
     generate_dataset,
     preset_distinct_tools,
     preset_order_dependent,
@@ -199,14 +199,6 @@ def _train_config(args, base: TrainConfig | None) -> TrainConfig:
     return replace(TrainConfig() if base is None else base, **overrides)
 
 
-def _config_from_json(data, source, error=InvalidConfig) -> TrainConfig:
-    """``TrainConfig.from_json(data)``; ``error`` naming ``source`` if ``data`` is no config."""
-    try:
-        return TrainConfig.from_json(data)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{source}: bad training config: {exc}") from exc
-
-
 def _read_json_flag(path: str):
     """The JSON in a --config or --grid file; InvalidConfig if it cannot be read."""
     try:
@@ -261,7 +253,8 @@ def cmd_build_graphs(args, outputs: _Outputs) -> int:
 
 
 def cmd_train(args, outputs: _Outputs) -> int:
-    base = _config_from_json(_read_json_flag(args.config), args.config) if args.config else None
+    base = decode_config(TrainConfig.from_json, _read_json_flag(args.config),
+                         f"{args.config}: bad training config") if args.config else None
     cfg = _train_config(args, base)
     manifest = load_manifest(args.manifest)
     model, history = train(cfg, manifest)
@@ -287,7 +280,8 @@ def cmd_eval(args, outputs: _Outputs) -> int:
     stored = checkpoint_header(args.checkpoint).get("extra", {}).get("train_config")
     model = load_checkpoint(args.checkpoint)
     if stored is not None:  # the checkpoint's own config, so a bad one is a corrupt checkpoint
-        stored = _config_from_json(stored, args.checkpoint, CorruptCheckpoint)
+        stored = decode_config(TrainConfig.from_json, stored,
+                               f"{args.checkpoint}: bad training config", CorruptCheckpoint)
     cfg = _train_config(args, stored)
     # the config's feature width, or that width less the embedding block,
     # which a manifest without embedding tables drops
@@ -340,20 +334,16 @@ def cmd_explain(args, outputs: _Outputs) -> int:
 
 
 def cmd_synth(args, outputs: _Outputs) -> int:
-    configs: list[SynthConfig] = []
     fps = 1
     if args.config:
         raw = _read_json_flag(args.config)
-        try:
-            if isinstance(raw, dict) and "videos" in raw:
-                fps = checked_fps(raw.get("fps", 1), args.config)
-                configs = [synth_config_from_json(v) for v in raw["videos"]]
-            elif isinstance(raw, list):
-                configs = [synth_config_from_json(v) for v in raw]
-            else:
-                configs = [synth_config_from_json(raw)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"{args.config}: bad synth config: {exc}") from exc
+        if isinstance(raw, dict) and "videos" in raw:
+            fps = checked_fps(raw.get("fps", 1), args.config)
+            raw = raw["videos"]
+        elif not isinstance(raw, list):
+            raw = [raw]
+        configs = decode_config(lambda videos: [synth_config_from_json(v) for v in videos],
+                                raw, f"{args.config}: bad synth config")
     else:
         preset = _PRESETS[args.preset]
         splits = ["train"] * args.train + ["val"] * args.val + ["test"] * args.test
@@ -388,7 +378,8 @@ def cmd_ablate(args, outputs: _Outputs) -> int:
     raw = _read_json_flag(args.grid)
     if not isinstance(raw, list):
         raise InvalidConfig(f"{args.grid}: grid must be a JSON array of training configs")
-    grid = [_config_from_json(entry, f"{args.grid}: entry {k}") for k, entry in enumerate(raw)]
+    grid = [decode_config(TrainConfig.from_json, e, f"{args.grid}: entry {k}: bad training config")
+            for k, e in enumerate(raw)]
     manifest = load_manifest(args.manifest)
     rows = run_ablation(grid, manifest)
     write_ablation_csv(rows, outputs.file(Path(args.out_csv)), fps=manifest.fps)

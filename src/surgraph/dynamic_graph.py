@@ -24,7 +24,6 @@ either kind in one pass, and ``load_graph_json`` reads a file.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -34,7 +33,8 @@ import numpy as np
 
 from .errors import (
     DuplicateEntry, EmptyWindow, InvalidConfig, MalformedFile, OutOfRange, ShapeMismatch,
-    SurgraphError, check_fields,
+    SurgraphError, _is_count, _is_counts, _is_finite, _is_int, _is_pair, _is_vector, _shown,
+    check_fields, check_json,
 )
 from .ingest import read_json
 from .scene_graph import TEMPORAL_DIM, FeatureConfig, GraphArrays, SceneGraph
@@ -470,33 +470,6 @@ def _node_pieces(c, centroid, size, before, after, temporal: bool) -> tuple[str,
 # --- reading graph files ----------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    """An int that fits int64, so numpy takes it; a bool is none."""
-    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value)
-
-
-def _is_counts(value) -> bool:
-    return isinstance(value, list) and all(map(_is_count, value))
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, list) and all(map(_is_finite, value))
-
-
-def _is_pair(value) -> bool:
-    return _is_vector(value) and len(value) == 2
-
-
 _INT, _LIST = (_is_count, "an integer of at least 0"), (lambda v: isinstance(v, list), "a list")
 _GRAPH_KEYS = {"frame": _INT, "d": _INT, "nodes": _LIST, "edges": _LIST}
 _WINDOW_KEYS = {
@@ -515,29 +488,6 @@ _NODE_KEYS = {
 _WINDOW_NODE_KEYS = {**_NODE_KEYS, "t": _INT}
 
 
-def _shown(value) -> str:
-    """A JSON value as the file writes it, cut to 40 characters."""
-    text = json.dumps(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _check_fields(where: str, obj, keys: dict) -> None:
-    """MalformedFile naming ``where`` and the key for an absent or mistyped field."""
-    if not isinstance(obj, dict):
-        raise MalformedFile(f"{where} is a {type(obj).__name__}, not an object")
-    for key, (test, what) in keys.items():
-        if key not in obj:
-            raise MalformedFile(f"{where} has no {key!r}")
-        if not test(obj[key]):
-            raise MalformedFile(f"{where} has {key!r} {_shown(obj[key])}, not {what}")
-
-
-def _is_edge(edge, dynamic: bool) -> bool:
-    if not isinstance(edge, list) or len(edge) != 2 + dynamic:
-        return False
-    return _is_int(edge[0]) and _is_int(edge[1]) and (not dynamic or edge[2] in EDGE_KINDS)
-
-
 def graph_from_json(data) -> SceneGraph | DynamicGraph:
     """The static or dynamic graph in decoded graph JSON; one with a ``"window"`` is dynamic.
 
@@ -554,7 +504,7 @@ def graph_from_json(data) -> SceneGraph | DynamicGraph:
     of width ``d``.
     """
     dynamic = isinstance(data, dict) and "window" in data
-    _check_fields("the top level", data, _WINDOW_KEYS if dynamic else _GRAPH_KEYS)
+    check_json(data, _WINDOW_KEYS if dynamic else _GRAPH_KEYS, "the top level")
     frame, d, nodes, edges = data["frame"], data["d"], data["nodes"], data["edges"]
     if d == 0:
         raise MalformedFile("the top level has 'd' 0, not a feature width of at least 1")
@@ -568,7 +518,7 @@ def graph_from_json(data) -> SceneGraph | DynamicGraph:
                                 f"not 'window' = {window}")
     node_keys = _WINDOW_NODE_KEYS if dynamic else _NODE_KEYS
     for index, node in enumerate(nodes):
-        _check_fields(f"node {index}", node, node_keys)
+        check_json(node, node_keys, f"node {index}")
         if len(node["features"]) != d:
             raise MalformedFile(f"node {index} has {len(node['features'])} "
                                 f"'features', not 'd' = {d}")
@@ -578,7 +528,8 @@ def graph_from_json(data) -> SceneGraph | DynamicGraph:
     where = f"in the graph of frame {frame}"
     pairs = set()
     for index, edge in enumerate(edges):
-        if not _is_edge(edge, dynamic):
+        if not (isinstance(edge, list) and len(edge) == 2 + dynamic and _is_int(edge[0])
+                and _is_int(edge[1]) and (not dynamic or edge[2] in EDGE_KINDS)):
             raise MalformedFile(f"edge {index} is {_shown(edge)}, not {shape}")
         i, j = edge[:2]
         if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):

@@ -1,15 +1,21 @@
-"""Exception types raised across the package, and the field check of the config dataclasses.
+"""Exception types raised across the package, and the one way each input is checked.
 
 Every error carries a human-readable message; callers that need to branch
-should catch the specific class, not parse the text.
+should catch the specific class, not parse the text. ``check_fields`` checks
+config dataclasses and ``decode_config`` builds them from JSON: InvalidConfig
+for a config file, CorruptCheckpoint for a checkpoint's. ``check_json`` checks
+JSON objects with the value tests below: MalformedFile for graph JSON, a
+manifest or a label map, CorruptCheckpoint for a checkpoint header.
 """
 
+import json
 import math
 import operator
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import fields
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
@@ -218,3 +224,83 @@ class ScriptTooLong(InvalidConfig):
 
 class AmbiguousRules(SurgraphError):
     """Two phase rules cannot be told apart from a mask."""
+
+
+# --- decoded JSON --------------------------------------------------------------
+
+def _is_integer(value) -> bool:
+    """A JSON integer of any size; a bool is none."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """An integer that fits int64, so numpy takes it."""
+    return _is_integer(value) and -(2**63) <= value < 2**63
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_real(value) -> bool:
+    """A float, NaN and infinities included, or an integer that fits int64."""
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_finite(value) -> bool:
+    return _is_real(value) and math.isfinite(value)
+
+
+def _is_counts(value) -> bool:
+    return isinstance(value, list) and all(map(_is_count, value))
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(map(_is_finite, value))
+
+
+def _is_pair(value) -> bool:
+    return _is_vector(value) and len(value) == 2
+
+
+def _is_folder_name(value) -> bool:
+    """A string naming one folder in another: no separator or NUL, not "", "." or ".."."""
+    ok = isinstance(value, str) and value not in ("", ".", "..") and "\0" not in value
+    return ok and Path(value).name == value
+
+
+def _shown(value) -> str:
+    """A JSON value as the file writes it, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check_json(obj, keys: dict, where: str, error: type = MalformedFile, *,
+               optional: dict | None = None, show=_shown, shape: str | None = None) -> None:
+    """Raise ``error`` for the first fault of the JSON object ``obj``: ``<where>
+    is a list, not an object``, ``has no 'k'`` or ``has 'k' <value>, not <what>``
+    for ``keys``, a table ``key -> (test, what)`` (None: any value), and, given
+    ``optional``, a table of keys it may hold, ``has unknown key 'k'``.
+    ``show`` writes the value; with ``shape`` a fault reads ``is not <shape>``."""
+    def fail(fault: str):
+        raise error(f"{where} {'is not ' + shape if shape else fault}")
+
+    if not isinstance(obj, dict):
+        fail(f"is a {type(obj).__name__}, not an object")
+    for key, check in {**keys, **(optional or {})}.items():
+        if key in keys and key not in obj:
+            fail(f"has no {key!r}")
+        if key in obj and check is not None and not check[0](obj[key]):
+            fail(f"has {key!r} {show(obj[key])}, not {check[1]}")
+    unknown = sorted(set(obj) - set(keys) - set(optional)) if optional is not None else []
+    if unknown:
+        fail(f"has unknown key {unknown[0]!r}")
+
+
+def decode_config(build, data, where: str, error: type = InvalidConfig):
+    """``build(data)``; its TypeError (not an object, an unknown key) or ValueError
+    (a bad value) is raised again as ``error``, ``<where>: `` first."""
+    try:
+        return build(data)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: {exc}") from exc

@@ -54,6 +54,8 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
     check_fields,
+    check_json,
+    decode_config,
 )
 from .ingest import atomic_write
 from .numerics import DenseStack, SparseAdjacency, cross_entropy, softmax
@@ -88,6 +90,14 @@ class GcnConfig:
             raise InvalidConfig("hidden_dims must all be >= 1")
         if self.num_classes < 2:
             raise InvalidConfig("num_classes must be >= 2")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "GcnConfig":
+        """The config ``save_checkpoint`` wrote; ValueError unless its keys are the fields."""
+        names = sorted(f.name for f in fields(cls))
+        if sorted(data) != names:
+            raise ValueError(f"config keys {sorted(data)}, expected {names}")
+        return cls(**data)
 
 
 def parameter_shapes(cfg: GcnConfig) -> tuple[tuple[int, ...], ...]:
@@ -562,7 +572,7 @@ def save_checkpoint(
 
 
 def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
-    """The file's bytes, its JSON header, and where the parameter block starts."""
+    """The file's bytes, its JSON header (with config and dims), and where the parameters start."""
     data = Path(path).read_bytes()
     if len(data) < 12:
         raise CorruptCheckpoint(f"{path}: shorter than the fixed header")
@@ -577,8 +587,7 @@ def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except ValueError as exc:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CorruptCheckpoint(f"{path}: malformed header (not a JSON object)")
+    check_json(header, {"config": None, "dims": None}, f"{path}: the header", CorruptCheckpoint)
     if not isinstance(header.get("extra", {}), dict):
         raise CorruptCheckpoint(f"{path}: malformed header ('extra' is not an object)")
     return data, header, 12 + header_len
@@ -586,19 +595,11 @@ def _read_checkpoint(path: str | Path) -> tuple[bytes, dict, int]:
 
 def load_checkpoint(path: str | Path) -> GcnModel:
     data, header, offset = _read_checkpoint(path)
-    try:
-        config = header["config"]
-        names = [f.name for f in fields(GcnConfig)]
-        if set(config) != set(names):
-            raise ValueError(f"config keys {sorted(config)}, expected {sorted(names)}")
-        cfg = GcnConfig(**config)
-        dims = tuple(tuple(d) for d in header["dims"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
-
+    cfg = decode_config(GcnConfig.from_json, header["config"], f"{path}: malformed header",
+                        CorruptCheckpoint)
     shapes = parameter_shapes(cfg)
-    if dims != shapes:
-        raise CorruptCheckpoint(f"{path}: parameter shapes {list(dims)} do not match config")
+    if header["dims"] != [list(shape) for shape in shapes]:
+        raise CorruptCheckpoint(f"{path}: parameter shapes {header['dims']} do not match config")
     count = _parameter_count(shapes)
     end = offset + 8 * count
     if end > len(data):

@@ -8,7 +8,8 @@ File formats:
     per row.
   * Embeddings: JSON ``{frame_index: {segment_key: [floats]}}``.
   * Manifest: JSON ``{"fps": number, "videos": [...]}``; a frame rate
-    such as 29.97 is kept as given.
+    such as 29.97 is kept as given; a video ``id`` names output files, so
+    it is a single folder name.
 
 A file that breaks its format raises a ``SurgraphError`` that names it: the
 frame for a mask, the line for a phase CSV, the video and key for a
@@ -52,6 +53,11 @@ from .errors import (
     TrailingBytes,
     TruncatedFile,
     UnknownPhaseId,
+    _is_folder_name,
+    _is_int,
+    _is_integer,
+    _is_real,
+    check_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -259,6 +265,13 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 # --- label maps ---------------------------------------------------------------
 
+_LABEL_KEYS = {
+    "id": (_is_integer, "an integer"),
+    "name": (lambda v: isinstance(v, str), "a string"),
+}
+_LABEL_SHAPE = "an object with an integer 'id' and a string 'name'"
+
+
 def load_label_map(path: str | Path) -> LabelMap:
     """Load a JSON label map, enforcing unique, contiguous ids from 0.
 
@@ -272,11 +285,7 @@ def load_label_map(path: str | Path) -> LabelMap:
     if not isinstance(entries, list):
         raise MalformedFile(f"{path}: the top level is a {type(entries).__name__}, not an array")
     for index, e in enumerate(entries):
-        ok = isinstance(e, dict) and _is_number(e.get("id"), int) and isinstance(e.get("name"), str)
-        if not ok:
-            raise MalformedFile(
-                f"{path}: entry {index} is not an object with an integer 'id' and a string 'name'"
-            )
+        check_json(e, _LABEL_KEYS, f"{path}: entry {index}", shape=_LABEL_SHAPE)
     return label_map_from_entries([(e["id"], e["name"]) for e in entries], source=path)
 
 
@@ -304,9 +313,9 @@ def default_label_map() -> LabelMap:
 def load_phase_labels(path: str | Path, video_id: str | None = None) -> PhaseTrack:
     """Parse a ``frame,phase`` CSV into a strictly increasing phase track.
 
-    A file that is not UTF-8 text, a wrong header, or a row that is not two
-    integers raises MalformedFile; a frame that does not increase raises
-    NonMonotonicFrames and a phase outside ``DEFAULT_PHASE_NAMES``
+    Text that is not UTF-8, a wrong header, a row that is not two integers
+    or a frame outside int64 raises MalformedFile; a frame that does not
+    increase raises NonMonotonicFrames and a phase outside the vocabulary
     UnknownPhaseId. Each names the file and, past the text check, the line.
     """
     path = Path(path)
@@ -333,6 +342,8 @@ def load_phase_labels(path: str | Path, video_id: str | None = None) -> PhaseTra
                 raise UnknownPhaseId(
                     f"{where}: phase id {phase} outside vocabulary of {len(DEFAULT_PHASE_NAMES)}"
                 )
+            if not _is_int(frame):
+                raise MalformedFile(f"{where}: frame {frame} does not fit a 64-bit integer")
             frames.append(frame)
             phases.append(phase)
     except csv.Error as exc:
@@ -362,15 +373,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     Raises MalformedFile, naming the file and the frame or segment, for a
     top level or frame that is not an object, a frame key that is not a
-    frame number (or repeats one) and a vector that is not a list of
-    numbers. Raises MixedDimensions for vectors of different lengths and
-    NonFiniteEmbedding for a NaN or infinite entry, which ``json.loads``
-    would otherwise accept; both name the file too.
+    frame number (or repeats one) and a vector that is not a list of floats
+    and int64 integers. Raises MixedDimensions for vectors of different
+    lengths and NonFiniteEmbedding for a NaN or infinite entry, which
+    ``json.loads`` would otherwise accept; both name the file too.
     """
     path = Path(path)
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise MalformedFile(f"{path}: the top level is a {type(raw).__name__}, not an object")
+    check_json(raw, {}, f"{path}: the top level")
     frames: dict[int, dict[str, np.ndarray]] = {}
     dimension: int | None = None
     for frame_key, segments in raw.items():
@@ -378,12 +388,12 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             raise MalformedFile(f"{path}: frame key {frame_key!r} is not a frame number")
         if int(frame_key) in frames:
             raise MalformedFile(f"{path}: frame key {frame_key!r} repeats frame {int(frame_key)}")
-        if not isinstance(segments, dict):
-            raise MalformedFile(f"{path}: frame {frame_key} is not an object of segment vectors")
+        check_json(segments, {}, f"{path}: frame {frame_key}", shape="an object of segment vectors")
         table: dict[str, np.ndarray] = {}
         for segment_key, values in segments.items():
             where = f"{path}: embedding of frame {frame_key}, segment {segment_key}"
-            if not isinstance(values, list) or not all(map(_is_number, values)):
+            # a NaN or infinite float is a number here; NonFiniteEmbedding names it below
+            if not isinstance(values, list) or not all(map(_is_real, values)):
                 raise MalformedFile(f"{where} is not a list of numbers")
             vec = np.asarray(values, dtype=np.float64)
             if dimension is None:
@@ -401,60 +411,49 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 VALID_SPLITS = ("train", "val", "test")
 
+_PATH = (lambda v: isinstance(v, str), "a path string")
+_VIDEO_KEYS = {
+    "id": (_is_folder_name, "a single folder name"),
+    "split": (VALID_SPLITS.__contains__, f"one of {', '.join(VALID_SPLITS)}"),
+    "mask_dir": _PATH,
+    "phase_csv": _PATH,
+}
+_VIDEO_OPTIONAL = {"embeddings": (lambda v: v is None or isinstance(v, str), "a path string")}
+
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a dataset manifest and verify that referenced paths exist.
 
-    Raises OutOfRange, naming the manifest, for an ``fps`` that is not a
-    finite number of at least 1 (see ``checked_fps``), and MalformedFile,
-    naming the manifest, the video and the key, for a missing or unknown
-    key, a ``split`` outside train/val/test or a path (``mask_dir``,
-    ``phase_csv``, ``embeddings``) that is not a string. A path that names
-    no folder or file raises MissingPath, a FileNotFoundError that names
-    the manifest, the video and the key.
+    Raises OutOfRange, naming the manifest, for a bad ``fps`` (see
+    ``checked_fps``). Raises MalformedFile, naming the manifest, the video
+    and the key, for a key that is missing, unknown or fails its test in
+    ``_VIDEO_KEYS``: an ``id`` names output files, so it must be a single
+    folder name. A path that names no folder or file raises MissingPath, a
+    FileNotFoundError that names the manifest, the video and the key.
     """
     path = Path(path)
     raw = read_json(path)
-    entries = _required(raw, "videos", path, "the manifest")
-    _known_keys(raw, ("fps", "videos"), path, "the manifest")
-    if not isinstance(entries, list):
+    check_json(raw, {"videos": None}, f"{path}: the manifest", optional={"fps": None})
+    if not isinstance(raw["videos"], list):
         raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
     fps = checked_fps(raw.get("fps", 1), path)
     videos = []
-    for index, entry in enumerate(entries):
-        video_id = _required(entry, "id", path, f"video {index}")
-        split, mask_dir, phase_csv = (
-            _required(entry, key, path, f"video {video_id!r}")
-            for key in ("split", "mask_dir", "phase_csv")
-        )
-        where = f"video {video_id!r}"
-        _known_keys(entry, ("id", "split", "mask_dir", "phase_csv", "embeddings"), path, where)
-        if split not in VALID_SPLITS:
-            raise MalformedFile(
-                f"{path}: {where} has 'split' {split!r}, not one of {', '.join(VALID_SPLITS)}"
-            )
-        mask_dir = _resolve(path, where, "mask_dir", mask_dir)
-        phase_csv = _resolve(path, where, "phase_csv", phase_csv)
+    for index, entry in enumerate(raw["videos"]):
+        check_json(entry, {"id": _VIDEO_KEYS["id"]}, f"{path}: video {index}", show=repr)
+        where = f"video {entry['id']!r}"
+        check_json(entry, _VIDEO_KEYS, f"{path}: {where}", optional=_VIDEO_OPTIONAL, show=repr)
+        # a path is taken relative to the manifest's folder; an absolute one replaces it
+        mask_dir = path.parent / entry["mask_dir"]
+        phase_csv = path.parent / entry["phase_csv"]
         embeddings = entry.get("embeddings")  # absent, null or "": no table
-        if embeddings in (None, ""):
-            embeddings = None
-        else:
-            embeddings = _resolve(path, where, "embeddings", embeddings)
+        embeddings = path.parent / embeddings if embeddings else None
         if not mask_dir.is_dir():
             raise MissingPath(f"{path}: {where} has 'mask_dir' {mask_dir}, not a folder")
         if not phase_csv.is_file():
             raise MissingPath(f"{path}: {where} has 'phase_csv' {phase_csv}, not a file")
         if embeddings is not None and not embeddings.is_file():
             raise MissingPath(f"{path}: {where} has 'embeddings' {embeddings}, not a file")
-        videos.append(
-            VideoEntry(
-                video_id=video_id,
-                mask_dir=mask_dir,
-                phase_csv=phase_csv,
-                split=split,
-                embeddings=embeddings,
-            )
-        )
+        videos.append(VideoEntry(entry["id"], mask_dir, phase_csv, entry["split"], embeddings))
     return DatasetManifest(fps=fps, videos=tuple(videos))
 
 
@@ -492,8 +491,7 @@ def checked_fps(value, source: str | Path) -> float:
     Raises OutOfRange, naming ``source``, for a bool, a non-number, a
     non-finite value or a rate below 1.
     """
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite:
+    if not (_is_integer(value) or isinstance(value, float) and math.isfinite(value)):
         raise OutOfRange(f"{source}: fps {value!r} is not a finite number")
     if value < 1:
         raise OutOfRange(f"{source}: fps {value} must be at least 1")
@@ -538,34 +536,3 @@ def _utf8_text(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    """Whether a JSON ``value`` is a number of ``kind``; a bool is none."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _required(obj, key: str, path: Path, where: str):
-    """``obj[key]``; MalformedFile naming the manifest ``path``, ``where`` and ``key`` if absent."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise MalformedFile(f"{path}: {where} has no {key!r}")
-    return obj[key]
-
-
-def _known_keys(obj: dict, keys, path: Path, where: str) -> None:
-    """MalformedFile naming the manifest ``path``, ``where`` and the key if ``obj``
-    has a key outside ``keys``, such as a misspelt ``embeddings``."""
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise MalformedFile(f"{path}: {where} has unknown key {unknown[0]!r}")
-
-
-def _resolve(path: Path, where: str, key: str, value) -> Path:
-    """A path ``value`` from the manifest ``path``, relative to its folder.
-
-    MalformedFile naming the manifest, ``where`` and ``key`` if it is not a string.
-    """
-    if not isinstance(value, str):
-        raise MalformedFile(f"{path}: {where} has {key!r} {value!r}, not a path string")
-    p = Path(value)
-    return p if p.is_absolute() else path.parent / p

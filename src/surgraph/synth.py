@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AmbiguousRules, InvalidConfig, ScriptTooLong, check_fields
+from .errors import AmbiguousRules, InvalidConfig, ScriptTooLong, _is_folder_name, check_fields
 from .ingest import (
     DEFAULT_PHASE_NAMES,
     VALID_SPLITS,
@@ -90,14 +90,15 @@ class SynthConfig:
             raise InvalidConfig("frames must be at least 16x16")
         if self.n_frames < 1:
             raise InvalidConfig("n_frames must be >= 1")
+        if self.n_frames > np.iinfo(np.int64).max:  # frame indices are stored as int64
+            raise InvalidConfig("n_frames must fit a 64-bit integer")
         if not self.phase_script:
             raise InvalidConfig("phase_script must be non-empty")
         for p in (self.tool_noise, self.speckle_noise):
             if not 0.0 <= p < 1.0:
                 raise InvalidConfig(f"noise probability {p} outside [0, 1)")
-        name = self.video_id
-        if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
-            raise InvalidConfig(f"video_id {name!r} is not a single folder name")
+        if not _is_folder_name(self.video_id):
+            raise InvalidConfig(f"video_id {self.video_id!r} is not a single folder name")
         if self.split not in VALID_SPLITS:
             raise InvalidConfig(f"split {self.split!r} is not one of {', '.join(VALID_SPLITS)}")
         object.__setattr__(self, "phase_script", tuple(self.phase_script))
@@ -448,9 +449,9 @@ def generate_dataset(
 def synth_config_from_json(data: dict) -> SynthConfig:
     """A ``SynthConfig`` from its fields as JSON, e.g. ``dataclasses.asdict`` of one.
 
-    Absent fields take the dataclass defaults; an unknown key raises TypeError.
+    Absent fields take the dataclass defaults; data that is not an object,
+    or an unknown key, raises TypeError.
     """
-    if not isinstance(data, dict):
-        raise TypeError(f"a synth config is a JSON object, not {type(data).__name__}")
-    script = tuple(ScriptPhase(**p) for p in data.get("phase_script", ()))
-    return SynthConfig(**{**data, "phase_script": script})
+    return SynthConfig(
+        **{**data, "phase_script": tuple(ScriptPhase(**p) for p in data.get("phase_script", ()))}
+    )

@@ -981,6 +981,8 @@ _MISTYPED = [
     ("synth", {"video_id": "../esc"}, "video_id"),
     ("synth", {"split": "holdout"}, "split"),
     ("synth", {"phase_script": [{**_PHASE, "touch": [[14, 8]]}]}, "phase 4"),
+    ("train", {"lr": 10**400}, "lr"),  # an integer no float64 holds
+    ("synth", {"n_frames": 10**400}, "n_frames"),
 ]
 
 

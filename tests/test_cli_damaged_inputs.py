@@ -164,3 +164,53 @@ def test_a_damaged_input_exits_0_1_or_2_naming_the_file(inputs, command, kind, d
     if code:
         assert err.startswith(f"error: {path}: "), (how, err)
         assert not out.exists()
+
+
+HUGE = 10**400  # an integer that no float64 holds
+# Each numeric slot of an input file: the command that reads it, the file, the
+# slot's keys in the decoded JSON (``...`` is a mapping's first key; a phase
+# CSV gets a last row instead) and the exit code. A train config's ``lr`` and
+# a synth config's ``n_frames`` are ``test_cli._MISTYPED`` cases.
+OVERFLOWS = {
+    "embedding-value": ("build-graphs", "embeddings", (..., ..., 0), 2),
+    "phase-csv-frame": ("train", "phase_csv", None, 2),
+    "graph-centroid": ("explain", "graph", ("nodes", 0, "centroid", 0), 2),
+    "graph-size": ("explain", "graph", ("nodes", 0, "size"), 2),
+    "graph-class": ("explain", "graph", ("nodes", 0, "class"), 2),
+    "label-map-id": ("explain", "label_map", (0, "id"), 2),
+    # a valid rate, kept as given (test_manifest_keeps_fps_as_given); a
+    # window then spans 0.0 seconds
+    "manifest-fps": ("build-graphs", "manifest", ("fps",), 0),
+}
+
+
+def _with_huge(text: str, keys) -> str:
+    """``text`` with ``HUGE`` at ``keys``: in the decoded JSON, or as a phase CSV's last frame."""
+    if keys is None:
+        return text + f"{HUGE},2\n"
+    data = json.loads(text)
+    *inner, last = keys
+    node = data
+    for key in inner:
+        node = node[next(iter(node)) if key is ... else key]
+    node[next(iter(node)) if last is ... else last] = HUGE
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("slot", OVERFLOWS)
+def test_an_integer_beyond_float64_exits_naming_the_file(inputs, slot):
+    files, argv, out_root = inputs
+    command, kind, keys, expected = OVERFLOWS[slot]
+    path = files("train")[kind]
+    text = path.read_text()
+    out = out_root / f"huge-{slot}"
+    path.write_text(_with_huge(text, keys))
+    try:
+        code, err = _quiet_run(argv(command, out))
+    finally:
+        path.write_text(text)
+    assert code == expected, err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(f"error: {path}: "), err
+        assert not out.exists()

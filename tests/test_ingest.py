@@ -312,6 +312,22 @@ def test_embeddings_non_finite(tmp_path, value):
     assert str(info.value) == f"{p}: embedding of frame 4, segment seg_3 holds a non-finite value"
 
 
+def test_embedding_value_beyond_int64_names_the_file_frame_and_segment(tmp_path):
+    p = tmp_path / "e.json"
+    p.write_text('{"0": {"seg_1": [%d]}}' % 10**400)
+    with pytest.raises(MalformedFile) as info:
+        load_embeddings(p)
+    assert str(info.value) == f"{p}: embedding of frame 0, segment seg_1 is not a list of numbers"
+
+
+def test_phase_csv_frame_beyond_int64_names_the_file_and_line(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("frame,phase\n0,1\n%d,2\n" % 10**29)
+    with pytest.raises(MalformedFile) as info:
+        load_phase_labels(p)
+    assert str(info.value) == f"{p}: line 3: frame {10**29} does not fit a 64-bit integer"
+
+
 def test_embeddings_missing_frame(tmp_path):
     p = tmp_path / "e.json"
     p.write_text('{"0": {"seg_0": [1.0]}}')
@@ -423,6 +439,18 @@ def test_manifest_path_that_is_no_string_names_manifest_video_and_key(tmp_path, 
     with pytest.raises(MalformedFile) as info:
         load_manifest(path)
     assert str(info.value) == f"{path}: video 'a' has '{key}' {value!r}, not a path string"
+
+
+@pytest.mark.parametrize("video_id", ["a/b", "../x", "", 5, [1], None])
+def test_manifest_video_id_must_be_a_single_folder_name(tmp_path, video_id):
+    # graph files are named after the id, so "../x" would write outside --out
+    _write_video(tmp_path, "a")
+    path = tmp_path / "manifest.json"
+    video = {"id": video_id, "mask_dir": "a/masks", "phase_csv": "a/phases.csv", "split": "train"}
+    path.write_text(json.dumps({"fps": 1, "videos": [video]}))
+    with pytest.raises(MalformedFile) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: video 0 has 'id' {video_id!r}, not a single folder name"
 
 
 @pytest.mark.parametrize("embeddings", [None, ""])
