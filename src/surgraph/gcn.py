@@ -315,8 +315,9 @@ def loss_and_edge_gradient(
     for l, dz, _ in _backward_layers(model, anorm, views):
         g += np.matmul(dz, views.m[l].T, out=r)
     np.add(g, g.T, out=r)
-    s_diag = anorm.values[anorm.rows == anorm.cols]  # the triples hold S_uu for every u, in order
-    rs = np.bincount(anorm.rows, weights=r[anorm.rows, anorm.cols] * anorm.values, minlength=n)
+    rows, cols, values = anorm.rows, anorm.cols, anorm.values  # a CSR adjacency derives them per read
+    s_diag = values[rows == cols]  # the triples hold S_uu for every u, in order
+    rs = np.bincount(rows, weights=r[rows, cols] * values, minlength=n)
     t = -0.5 * s_diag * rs
     i, j = np.asarray(graph.edge_index, dtype=np.int64).T
     return loss, r[i, j] * np.sqrt(s_diag[i] * s_diag[j]) + t[i] + t[j]

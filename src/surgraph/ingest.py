@@ -428,8 +428,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     ``checked_fps``). Raises MalformedFile, naming the manifest, the video
     and the key, for a key that is missing, unknown or fails its test in
     ``_VIDEO_KEYS``: an ``id`` names output files, so it must be a single
-    folder name. A path that names no folder or file raises MissingPath, a
-    FileNotFoundError that names the manifest, the video and the key.
+    folder name, and no two videos may share one. A path that names no
+    folder or file raises MissingPath, a FileNotFoundError that names the
+    manifest, the video and the key.
     """
     path = Path(path)
     raw = read_json(path)
@@ -437,9 +438,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not isinstance(raw["videos"], list):
         raise MalformedFile(f"{path}: the manifest's 'videos' is not a list")
     fps = checked_fps(raw.get("fps", 1), path)
-    videos = []
+    videos, first_index = [], {}
     for index, entry in enumerate(raw["videos"]):
         check_json(entry, {"id": _VIDEO_KEYS["id"]}, f"{path}: video {index}", show=repr)
+        if entry["id"] in first_index:
+            raise MalformedFile(
+                f"{path}: video {index} has 'id' {entry['id']!r}, "
+                f"already the id of video {first_index[entry['id']]}"
+            )
+        first_index[entry["id"]] = index
         where = f"video {entry['id']!r}"
         check_json(entry, _VIDEO_KEYS, f"{path}: {where}", optional=_VIDEO_OPTIONAL, show=repr)
         # a path is taken relative to the manifest's folder; an absolute one replaces it

@@ -2,7 +2,9 @@
 
 Everything runs on float64 numpy arrays. A sparse adjacency builds its
 product operator once per graph, when it is made: a dense matrix for small
-graphs, a scipy CSR once graphs are large enough for sparsity to pay off.
+graphs, kept beside the sorted triples, and a scipy CSR once graphs are
+large enough for sparsity to pay off. The CSR is then the adjacency's only
+store, and the triples are read off it.
 Operations are pure and deterministic (fixed summation order) so repeated
 runs are byte-identical.
 """
@@ -96,18 +98,25 @@ def grad_check(
 
 @dataclass(frozen=True)
 class SparseAdjacency:
-    """Symmetric normalized adjacency stored as sorted COO triples.
+    """Symmetric normalized adjacency: its entries in (row, col) order and its product operator.
 
-    The product operator is built once per graph, in ``from_triples``. Small
-    graphs keep a dense matrix (its product is faster than CSR overhead below
-    ``DENSE_NODE_LIMIT`` nodes); larger ones keep a scipy CSR that shares
-    ``values`` and ``cols`` order with the triples.
+    The operator is built once per graph, in ``from_triples``. Below
+    ``DENSE_NODE_LIMIT`` nodes it is a dense matrix (its product is faster
+    than CSR overhead there), kept beside the sorted triples: a dense matrix
+    cannot give back an entry whose value is exactly 0. From that size on
+    the scipy CSR is the only store. ``values`` is its ``data``, and
+    ``rows`` and ``cols`` are derived on each read from its int32
+    ``indptr`` and ``indices``, in the same order. The entries then cost 12
+    bytes each plus 4 per node: about 10 KB for a 150-node window with 320
+    edges (790 entries), to which int64 copies of the indices would add
+    13 KB. A sample of the benchmark's 30-step windows (about 123 nodes,
+    650 entries) holds 13,883 bytes in all.
     """
 
     node_count: int
-    rows: np.ndarray
-    cols: np.ndarray
     values: np.ndarray
+    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _cols: np.ndarray | None = field(default=None, repr=False, compare=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
     _csr: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
@@ -140,13 +149,27 @@ class SparseAdjacency:
         if node_count < DENSE_NODE_LIMIT:
             dense = np.zeros((node_count, node_count))
             dense[rows, cols] = values
-            return cls(node_count, rows, cols, values, _dense=dense)
+            return cls(node_count, values, _rows=rows, _cols=cols, _dense=dense)
         indptr = np.zeros(node_count + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
         csr = sparse.csr_matrix(
             (values, cols.astype(np.int32), indptr), shape=(node_count, node_count)
         )
-        return cls(node_count, rows, cols, values, _csr=csr)
+        return cls(node_count, values, _csr=csr)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each entry, int64, in (row, col) order."""
+        if self._csr is None:
+            return self._rows
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), np.diff(self._csr.indptr))
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The column of each entry, int64, in (row, col) order."""
+        if self._csr is None:
+            return self._cols
+        return self._csr.indices.astype(np.int64)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.node_count, self.node_count))

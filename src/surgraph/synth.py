@@ -21,6 +21,7 @@ import numpy as np
 from .errors import AmbiguousRules, InvalidConfig, ScriptTooLong, _is_folder_name, check_fields
 from .ingest import (
     DEFAULT_PHASE_NAMES,
+    MAX_DIMENSION,
     VALID_SPLITS,
     DatasetManifest,
     PhaseTrack,
@@ -71,8 +72,9 @@ class ScriptPhase:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """One synthetic video. ``video_id`` names its folder, so it is one path
-    component; ``split`` is one of ``ingest.VALID_SPLITS``."""
+    """One synthetic video. Frames are 16 to ``ingest.MAX_DIMENSION`` pixels a
+    side. ``video_id`` names its folder, so it is one path component;
+    ``split`` is one of ``ingest.VALID_SPLITS``."""
 
     width: int = 64
     height: int = 64
@@ -88,6 +90,9 @@ class SynthConfig:
         check_fields(self)
         if self.width < 16 or self.height < 16:
             raise InvalidConfig("frames must be at least 16x16")
+        for side in ("width", "height"):  # no larger mask can be read back
+            if getattr(self, side) > MAX_DIMENSION:
+                raise InvalidConfig(f"{side} must be at most {MAX_DIMENSION}")
         if self.n_frames < 1:
             raise InvalidConfig("n_frames must be >= 1")
         if self.n_frames > np.iinfo(np.int64).max:  # frame indices are stored as int64

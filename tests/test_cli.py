@@ -983,6 +983,8 @@ _MISTYPED = [
     ("synth", {"phase_script": [{**_PHASE, "touch": [[14, 8]]}]}, "phase 4"),
     ("train", {"lr": 10**400}, "lr"),  # an integer no float64 holds
     ("synth", {"n_frames": 10**400}, "n_frames"),
+    ("synth", {"width": 10**400}, "width"),  # above the largest readable mask side
+    ("synth", {"height": 100000}, "height"),
 ]
 
 

@@ -453,6 +453,23 @@ def test_manifest_video_id_must_be_a_single_folder_name(tmp_path, video_id):
     assert str(info.value) == f"{path}: video 0 has 'id' {video_id!r}, not a single folder name"
 
 
+@pytest.mark.parametrize("splits", [("train", "train"), ("train", "test")])
+def test_manifest_rejects_a_repeated_video_id(tmp_path, splits):
+    # in one split the second video's graph files would replace the first's
+    _write_video(tmp_path, "a")
+    _write_video(tmp_path, "b")
+    path = tmp_path / "manifest.json"
+    videos = [
+        {"id": "a", "mask_dir": f"{name}/masks", "phase_csv": f"{name}/phases.csv", "split": split}
+        for name, split in zip("ab", splits)
+    ]
+    other = {"id": "c", "mask_dir": "b/masks", "phase_csv": "b/phases.csv", "split": "val"}
+    path.write_text(json.dumps({"fps": 1, "videos": [videos[0], other, videos[1]]}))
+    with pytest.raises(MalformedFile) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: video 2 has 'id' 'a', already the id of video 0"
+
+
 @pytest.mark.parametrize("embeddings", [None, ""])
 def test_manifest_null_or_empty_embeddings_mean_no_table(tmp_path, embeddings):
     _write_video(tmp_path, "a")

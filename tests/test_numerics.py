@@ -18,6 +18,9 @@ from surgraph.numerics import (
     grad_check,
     softmax,
 )
+from surgraph.pipeline import TrainConfig, build_samples
+from surgraph.scene_graph import FeatureConfig
+from surgraph.synth import generate_dataset, preset_distinct_tools
 
 
 def test_softmax_uniform():
@@ -204,3 +207,68 @@ def test_sparse_adjacency_shape_checks():
     adj = SparseAdjacency.from_triples(2, np.array([0]), np.array([1]), np.array([1.0]))
     with pytest.raises(ShapeMismatch):
         adj.apply(np.zeros((3, 2)))
+
+
+def _shuffled_triples(rng, n):
+    """About 4n distinct (row, col) pairs in random order, one of value exactly 0."""
+    flat = rng.choice(n * n, size=4 * n, replace=False)
+    rows, cols = np.divmod(flat, n)
+    values = rng.normal(size=flat.size)
+    values[rng.integers(flat.size)] = 0.0
+    return rows, cols, values
+
+
+def _arrays(adjacency):
+    """Every array the adjacency holds, its operator's included, each buffer once."""
+    held = [a for a in vars(adjacency).values() if isinstance(a, np.ndarray)]
+    if adjacency._csr is not None:
+        csr = adjacency._csr
+        held += [csr.data, csr.indices, csr.indptr]
+    unique = []
+    for a in held:
+        if not any(np.shares_memory(a, b) for b in unique):
+            unique.append(a)
+    return unique
+
+
+@pytest.mark.parametrize("n", [DENSE_NODE_LIMIT - 1, DENSE_NODE_LIMIT, 150])
+def test_sparse_adjacency_gives_back_the_lexsorted_triples_bitwise(n):
+    rng = np.random.default_rng(n)
+    rows, cols, values = _shuffled_triples(rng, n)
+    adj = SparseAdjacency.from_triples(n, rows, cols, values)
+    order = np.lexsort((cols, rows))
+    dense = np.zeros((n, n))
+    dense[rows, cols] = values
+    for got, want in ((adj.rows, rows[order]), (adj.cols, cols[order]), (adj.values, values[order])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert adj.to_dense().tobytes() == dense.tobytes()
+    assert 0.0 in adj.values and adj.values.size == rows.size
+
+
+def test_csr_adjacency_is_its_only_store():
+    n = DENSE_NODE_LIMIT + 6
+    rows, cols, values = _shuffled_triples(np.random.default_rng(8), n)
+    adj = SparseAdjacency.from_triples(n, rows, cols, values)
+    assert not adj.is_dense
+    assert np.shares_memory(adj.values, adj._csr.data)
+    assert not [
+        a for a in _arrays(adj) if a.dtype == np.int64 and a.size == adj.values.size
+    ]
+    assert adj._csr.indices.dtype == adj._csr.indptr.dtype == np.int32
+
+
+def test_samples_of_large_windows_hold_12_bytes_an_entry_and_4_a_node(tmp_path):
+    cfg = TrainConfig(
+        feature_config=FeatureConfig(use_spatial=True, use_size=True, use_temporal=True),
+        window=30,
+        dilation=1,
+    )
+    _, manifest = generate_dataset(
+        tmp_path, [preset_distinct_tools(n_frames=40, phase_frames=10, width=32, height=32)]
+    )
+    large = [s.adjacency for s in build_samples(manifest.videos, cfg)]
+    large = [a for a in large if a.node_count >= DENSE_NODE_LIMIT]
+    assert large
+    for adj in large:
+        held = sum(a.nbytes for a in _arrays(adj))
+        assert held <= 12 * adj.values.size + 4 * adj.node_count + 16

@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from surgraph.errors import AmbiguousRules, ScriptTooLong
-from surgraph.ingest import SegmentationMask, load_manifest, load_mask, mask_to_bytes
+from surgraph.errors import AmbiguousRules, InvalidConfig, ScriptTooLong
+from surgraph.ingest import (
+    MAX_DIMENSION,
+    SegmentationMask,
+    load_manifest,
+    load_mask,
+    mask_to_bytes,
+)
 from surgraph.synth import (
     CORNEA,
     IRIS,
@@ -182,6 +188,16 @@ def test_config_validation():
         ScriptPhase(phase_id=1, duration=1, tools=(3,))  # anatomy, not a tool
     with pytest.raises(ValueError):
         ScriptPhase(phase_id=99, duration=1, tools=(10,))
+
+
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_config_frame_side_is_at_most_the_largest_readable_mask(side):
+    # only configs are built here: no frame is drawn
+    script = (ScriptPhase(1, 1, (10,)),)
+    assert getattr(SynthConfig(phase_script=script, **{side: MAX_DIMENSION}), side) == MAX_DIMENSION
+    for size in (MAX_DIMENSION + 1, 10**400):
+        with pytest.raises(InvalidConfig, match=f"^{side} must be at most {MAX_DIMENSION}$"):
+            SynthConfig(phase_script=script, **{side: size})
 
 
 def test_corrupt_tool_classes_swaps_every_tool():
